@@ -296,7 +296,7 @@ def check_steenrod_rewriter() -> tuple[bool, str]:
         total_rules += res.rules
         if not res.right_coefficients_flagged():
             return False, f"commute_right({n}): unflagged right coefficient"
-        if not steenrod.roundtrip_check(n):
+        if not steenrod.roundtrip_check(n, res):
             return False, f"roundtrip_check({n}) failed"
         if not steenrod.commute_left(n).left_coefficients_flagged():
             return False, f"commute_left({n}): unflagged left coefficient"

@@ -28,6 +28,7 @@ from .hopf import (
     HypothesisFailed,
     InvalidStructure,
     IsoFailed,
+    MalformedStructure,
     NotConnected,
     NotSurjective,
     SplitFailed,
@@ -92,6 +93,16 @@ def _check_slope(text: str) -> str:
     return text
 
 
+def _non_negative(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False))
 
@@ -109,7 +120,7 @@ def _load(path: str):
             file=sys.stderr,
         )
         return None
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, MalformedStructure) as exc:
         print(f"error: bad structure file {path}: {exc}", file=sys.stderr)
         return None
 
@@ -299,36 +310,32 @@ def cmd_validate(args) -> int:
     if not _check_trunc(sf, args):
         return USAGE
     names = set(sf.spaces)
-    try:
-        if "BG" in names:
-            kind = "algebroid"
-            violations = validate_algebroid(algebroid_from_file(sf))
-        elif "A" in names:
-            kind = "hopf"
-            H = hopf_from_file(sf)
-            violations = list(validate_hopf(H))
-            if "M" in names:
-                kind = "comodule"
-                violations += validate_comodule(comodule_from_file(sf))
-        elif "RP" in names:
-            rep = right_unit_descends(*right_unit_from_file(sf), sf.trunc)
-            if args.format == "json":
-                _emit_json({"kind": "right_unit", "report": rep.to_dict()})
-            else:
-                print("kind right_unit")
-                for deg, left, right, eq in rep.table:
-                    print(f"degree {deg}: rank_left {left} rank_right {right} "
-                          f"{'equal' if eq else 'DIFFER'}")
-                print("ok" if rep.ok else
-                      f"right unit fails to descend first at degree "
-                      f"{rep.first_failure}")
-            return OK if rep.ok else FAIL
+    if "BG" in names:
+        kind = "algebroid"
+        violations = validate_algebroid(algebroid_from_file(sf))
+    elif "A" in names:
+        kind = "hopf"
+        H = hopf_from_file(sf)
+        violations = list(validate_hopf(H))
+        if "M" in names:
+            kind = "comodule"
+            violations += validate_comodule(comodule_from_file(sf))
+    elif "RP" in names:
+        rep = right_unit_descends(*right_unit_from_file(sf), sf.trunc)
+        if args.format == "json":
+            _emit_json({"kind": "right_unit", "report": rep.to_dict()})
         else:
-            print("error: unrecognized structure file (no A, BG, or RP space)",
-                  file=sys.stderr)
-            return USAGE
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            print("kind right_unit")
+            for deg, left, right, eq in rep.table:
+                print(f"degree {deg}: rank_left {left} rank_right {right} "
+                      f"{'equal' if eq else 'DIFFER'}")
+            print("ok" if rep.ok else
+                  f"right unit fails to descend first at degree "
+                  f"{rep.first_failure}")
+        return OK if rep.ok else FAIL
+    else:
+        print("error: unrecognized structure file (no A, BG, or RP space)",
+              file=sys.stderr)
         return USAGE
     if args.format == "json":
         _emit_json({
@@ -357,15 +364,8 @@ def cmd_primitives(args) -> int:
         return USAGE
     if not _check_trunc(sf, args):
         return USAGE
-    try:
-        Mc = comodule_from_file(sf)
-        prim = primitives(Mc)
-    except VERIFY_ERRORS as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return FAIL
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    Mc = comodule_from_file(sf)
+    prim = primitives(Mc)
     if args.format == "json":
         _emit_json({
             "dims": {str(d): prim.space.dim(d) for d in prim.space.degrees()},
@@ -391,16 +391,7 @@ def cmd_mm_split(args) -> int:
         return USAGE
     if not _check_trunc(sf, args):
         return USAGE
-    try:
-        Mc = comodule_from_file(sf)
-        phi = phi_from_file(sf)
-        mm = mm_split(Mc, phi)
-    except VERIFY_ERRORS as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return FAIL
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    mm = mm_split(comodule_from_file(sf), phi_from_file(sf))
     if args.format == "json":
         _emit_json({
             "v_dims": {str(d): mm.V.dim(d) for d in mm.V.degrees()},
@@ -425,14 +416,7 @@ def cmd_cor22(args) -> int:
         return USAGE
     if not _check_trunc(sf, args):
         return USAGE
-    try:
-        rep = cor22_pipeline(cor22_from_file(sf))
-    except VERIFY_ERRORS as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return FAIL
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    rep = cor22_pipeline(cor22_from_file(sf))
     if args.format == "json":
         _emit_json(rep.to_dict())
     else:
@@ -555,8 +539,11 @@ def cmd_verify_all(args) -> int:
         res = acceptance.run_check(name)
         status = "PASS" if res.ok else "FAIL"
         print(f"[{idx:2d}/{total}] {name:<24s} {status}")
-        print(f"        {name}: {res.elapsed:.2f}s (budget {res.budget:.0f}s)",
-              file=sys.stderr)
+        # The same test as the pytest gate: a check must finish under its
+        # budget.  Stdout stays byte-stable, so an overrun shows on stderr.
+        over = "  OVER" if res.elapsed >= res.budget else ""
+        print(f"        {name}: {res.elapsed:.2f}s (budget {res.budget:.0f}s)"
+              f"{over}", file=sys.stderr)
         if not res.ok:
             print(f"        witness: {res.detail}")
             return FAIL
@@ -582,7 +569,9 @@ def _build_parser(cfg: RunConfig) -> argparse.ArgumentParser:
             p.add_argument("--slope", type=_check_slope, default=cfg.slope,
                            help="star slope u/v (default %(default)s)")
         if shift is not None:
-            p.add_argument("--max-shift", type=int, default=shift,
+            # A string default goes through the type check too, so a config
+            # file's max_shift is held to the same rule as the flag.
+            p.add_argument("--max-shift", type=_non_negative, default=str(shift),
                            help="shift truncation (default %(default)s)")
         if fmt:
             p.add_argument("--format", choices=("table", "json"),
@@ -714,6 +703,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except MalformedStructure as exc:
+        # A subclass of InvalidStructure: bad input, not a failed axiom.
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     except VERIFY_ERRORS as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return FAIL

@@ -8,6 +8,7 @@ from .core import (
     GradedSpace,
     HopfData,
     InvalidStructure,
+    MalformedStructure,
     MMSplit,
     NotConnected,
     NotSurjective,
@@ -46,8 +47,9 @@ __all__ = [
     "AlgebroidData", "ComoduleData", "Cor22Input", "Cor22Report",
     "DegreeCertificate", "FreenessFailed", "GradedAlgebra", "GradedMap",
     "GradedSpace", "HopfData", "HypothesisFailed", "InvalidStructure",
-    "IsoFailed", "MMSplit", "NotConnected", "NotSurjective", "Primitives",
-    "RightUnitReport", "SplitFailed", "TensorSpace", "Violation", "Witnesses",
+    "IsoFailed", "MMSplit", "MalformedStructure", "NotConnected",
+    "NotSurjective", "Primitives", "RightUnitReport", "SplitFailed",
+    "TensorSpace", "Violation", "Witnesses",
     "build", "compose", "cor22_pipeline", "identity_map", "io", "k_space",
     "mm_split", "pair_apply", "primitives", "right_unit_descends",
     "validate_algebra", "validate_algebroid", "validate_comodule",

@@ -19,6 +19,11 @@ class InvalidStructure(Exception):
     """Structure constants that do not satisfy a required axiom."""
 
 
+class MalformedStructure(InvalidStructure):
+    """Structure data of the wrong shape (degrees, labels, rows, missing
+    pieces), found before any axiom is checked."""
+
+
 class NotConnected(Exception):
     pass
 
@@ -51,11 +56,11 @@ class GradedSpace:
             if not labels:
                 continue
             if d < 0 or d > N:
-                raise InvalidStructure(
+                raise MalformedStructure(
                     f"space {name}: degree {d} outside 0..{N}"
                 )
             if len(set(labels)) != len(labels):
-                raise InvalidStructure(
+                raise MalformedStructure(
                     f"space {name}: duplicate labels in degree {d}"
                 )
             clean[d] = labels
@@ -159,14 +164,14 @@ class GradedMap:
             if len(got) < want:
                 got += [0] * (want - len(got))
             elif len(got) > want:
-                raise InvalidStructure(
+                raise MalformedStructure(
                     f"map {name}: {len(got)} rows in degree {d}, "
                     f"source has dimension {want}"
                 )
             top = 1 << target.dim(d)
             for r in got:
                 if r < 0 or r >= top:
-                    raise InvalidStructure(
+                    raise MalformedStructure(
                         f"map {name}: row out of range in degree {d}"
                     )
             full[d] = got

@@ -30,7 +30,7 @@ from .core import (
     GradedMap,
     GradedSpace,
     HopfData,
-    InvalidStructure,
+    MalformedStructure,
     TensorSpace,
     k_space,
 )
@@ -46,7 +46,7 @@ def load_doc(doc: dict) -> StructureFile:
     try:
         N = int(doc["trunc"])
     except (KeyError, TypeError, ValueError):
-        raise InvalidStructure("missing or malformed 'trunc'")
+        raise MalformedStructure("missing or malformed 'trunc'")
     spaces: dict[str, GradedSpace] = {"k": k_space(N)}
     for name, body in doc.get("spaces", {}).items():
         degrees = {}
@@ -57,11 +57,11 @@ def load_doc(doc: dict) -> StructureFile:
     def resolve(ref):
         if isinstance(ref, str):
             if ref not in spaces:
-                raise InvalidStructure(f"unknown space {ref!r}")
+                raise MalformedStructure(f"unknown space {ref!r}")
             return spaces[ref]
         if isinstance(ref, list) and len(ref) == 2:
             return TensorSpace(resolve(ref[0]), resolve(ref[1]))
-        raise InvalidStructure(f"malformed space reference {ref!r}")
+        raise MalformedStructure(f"malformed space reference {ref!r}")
 
     maps: dict[str, GradedMap] = {}
     for name, body in doc.get("maps", {}).items():
@@ -118,14 +118,14 @@ def _require(sf: StructureFile, *names: str) -> list[GradedMap]:
     out = []
     for n in names:
         if n not in sf.maps:
-            raise InvalidStructure(f"fixture is missing map {n!r}")
+            raise MalformedStructure(f"fixture is missing map {n!r}")
         out.append(sf.maps[n])
     return out
 
 
 def hopf_from_file(sf: StructureFile) -> HopfData:
     if "A" not in sf.spaces:
-        raise InvalidStructure("fixture is missing space 'A'")
+        raise MalformedStructure("fixture is missing space 'A'")
     unit, counit, mult, comult = _require(
         sf, "unit_A", "counit_A", "mult_A", "comult_A"
     )
@@ -135,7 +135,7 @@ def hopf_from_file(sf: StructureFile) -> HopfData:
 def comodule_from_file(sf: StructureFile) -> ComoduleData:
     H = hopf_from_file(sf)
     if "M" not in sf.spaces:
-        raise InvalidStructure("fixture is missing space 'M'")
+        raise MalformedStructure("fixture is missing space 'M'")
     unit, mult, psi = _require(sf, "unit_M", "mult_M", "psi_M")
     return ComoduleData(sf.spaces["M"], unit, mult, psi, H)
 

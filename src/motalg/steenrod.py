@@ -33,10 +33,6 @@ FLAG_ASSUMPTION = (
 )
 
 
-def _factor_key(f) -> str:
-    return render_factor(f)
-
-
 def render_factor(f) -> str:
     kind = f[0]
     if kind == "x":
@@ -54,8 +50,23 @@ def render_mono(m: tuple) -> str:
     return "*".join(render_factor(f) for f in m) if m else "1"
 
 
+# The first letter of each kind's rendering: "Sq^", "beta(", "tau", "x".
+_KIND_LETTER = {"Sq": "S", "beta": "b", "tau": "t", "x": "x"}
+
+
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(sorted(a + b, key=_factor_key))
+    """Product of two canonical monomials: factors sorted by rendering."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) == 1 and len(b) == 1 and a[0][0] != b[0][0]:
+        # Factors of different kinds differ in the first letter of their
+        # rendering, so that letter alone decides the order.
+        if _KIND_LETTER[a[0][0]] < _KIND_LETTER[b[0][0]]:
+            return a + b
+        return b + a
+    return tuple(sorted(a + b, key=render_factor))
 
 
 def factor_flagged(f) -> bool:
@@ -187,17 +198,18 @@ def _push_right(c: tuple, w: tuple, r: tuple, log: _Counter) -> set:
         return {(w, mono_mul(c, r))}
     log.n += 1
     head, rest = w[0], w[1:]
-    out: set = set()
     if head == "b":
         # c beta = beta c + beta(c)
-        for w2, r2 in _push_right(c, rest, r, log):
-            if not (w2 and w2[0] == "b"):
-                out ^= {(("b",) + w2, r2)}
+        out = {
+            (("b",) + w2, r2) for w2, r2 in _push_right(c, rest, r, log)
+            if not (w2 and w2[0] == "b")
+        }
         bc = beta_of(c)
         if bc is not None:
             out ^= _push_right(bc, rest, r, log)
     else:
         n = head[1] // 2
+        out = set()
         for a in range(1, n + 1):
             b = n - a
             mid = word(2 * b)
@@ -208,8 +220,18 @@ def _push_right(c: tuple, w: tuple, r: tuple, log: _Counter) -> set:
             out ^= _push_right(
                 mono_mul(TAU, sq_of(2 * a + 1, c)), mid + rest, r, log
             )
-        for w2, r2 in _push_right(c, rest, r, log):
-            out ^= {((head,) + w2, r2)}
+        out ^= {((head,) + w2, r2) for w2, r2 in _push_right(c, rest, r, log)}
+    return out
+
+
+def _append_word(pairs: set, mid: tuple) -> set:
+    """The (left coefficient, word) pairs with mid appended to each word;
+    words that die by beta beta = 0 drop out."""
+    out = set()
+    for l2, w2 in pairs:
+        joined = _word_reduce(w2 + mid)
+        if joined is not None:
+            out.add((l2, joined))
     return out
 
 
@@ -220,35 +242,30 @@ def _push_left(l: tuple, w: tuple, c: tuple, log: _Counter) -> set:
         return {(mono_mul(l, c), w)}
     log.n += 1
     last, rest = w[-1], w[:-1]
-    out: set = set()
     if last == "b":
         # beta c = c beta + beta(c)
-        for l2, w2 in _push_left(l, rest, c, log):
-            if not (w2 and w2[-1] == "b"):
-                out ^= {(l2, w2 + ("b",))}
+        out = {
+            (l2, w2 + ("b",)) for l2, w2 in _push_left(l, rest, c, log)
+            if not (w2 and w2[-1] == "b")
+        }
         bc = beta_of(c)
         if bc is not None:
             out ^= _push_left(l, rest, bc, log)
     else:
         n = last[1] // 2
+        out = set()
         for a in range(1, n + 1):
             b = n - a
             mid = word(2 * b)
-            for l2, w2 in _push_left(l, rest, sq_of(2 * a, c), log):
-                joined = _word_reduce(w2 + mid)
-                if joined is not None:
-                    out ^= {(l2, joined)}
+            out ^= _append_word(_push_left(l, rest, sq_of(2 * a, c), log), mid)
         for a in range(0, n):
             b = n - 1 - a
             mid = word(2 * b + 1)
-            for l2, w2 in _push_left(
-                l, rest, mono_mul(TAU, sq_of(2 * a + 1, c)), log
-            ):
-                joined = _word_reduce(w2 + mid)
-                if joined is not None:
-                    out ^= {(l2, joined)}
-        for l2, w2 in _push_left(l, rest, c, log):
-            out ^= {(l2, w2 + (last,))}
+            out ^= _append_word(
+                _push_left(l, rest, mono_mul(TAU, sq_of(2 * a + 1, c)), log),
+                mid,
+            )
+        out ^= _append_word(_push_left(l, rest, c, log), (last,))
     return out
 
 
@@ -295,10 +312,12 @@ def commute_left_beta() -> RewriteResult:
     return RewriteResult(tuple(sorted(terms, key=_term_key)), 1)
 
 
-def roundtrip_check(n: int) -> bool:
+def roundtrip_check(n: int, res: RewriteResult | None = None) -> bool:
     """Push the right coefficients of commute_right(n) back to the left with
-    the mirror identity set; the reduced sum must be exactly x * Sq^(2n)."""
-    res = commute_right(n)
+    the mirror identity set; the reduced sum must be exactly x * Sq^(2n).
+    A caller that already holds commute_right(n) passes it as res."""
+    if res is None:
+        res = commute_right(n)
     log = _Counter()
     acc: set = set()
     for t in res.terms:

@@ -265,6 +265,75 @@ def test_missing_required_flag_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["d2", "--p", "0", "--w", "0"],
+    ["thom", "--p", "0", "--w", "0", "--e", "1"],
+    ["suspension", "--j", "1"],
+    ["ei", "--i", "2"],
+    ["divide"],
+])
+def test_negative_max_shift_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--max-shift", "-3"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_negative_max_shift_from_config_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_shift": -3}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "d2", "--p", "0", "--w", "0"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_zero_max_shift_is_accepted(capsys):
+    code, out, _ = run(capsys, ["d2", "--p", "0", "--w", "0",
+                                "--max-shift", "0"])
+    assert code == 0 and out.strip() == "Z/2[0](0)^1"
+
+
+def flipped_fixture(tmp_path, name, edit):
+    with open(fixture(name)) as fh:
+        doc = json.load(fh)
+    edit(doc["maps"])
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", ["validate", "primitives", "mm-split"])
+def test_malformed_structure_exits_two(verb, capsys, tmp_path):
+    # A row bit outside the 1-dimensional degree-0 part of A.
+    def edit(maps):
+        maps["unit_A"]["entries"] = [{"deg": 0, "bits": [5]}]
+    path = flipped_fixture(tmp_path, "lambda_t.json", edit)
+    code, out, err = run(capsys, [verb, "--input", path])
+    assert code == 2 and out == ""
+    assert "row out of range in degree 0" in err
+
+    def drop(maps):
+        del maps["psi_M"]
+    path = flipped_fixture(tmp_path, "lambda_t.json", drop)
+    code, _, err = run(capsys, [verb, "--input", path])
+    assert code == 2 and "missing map 'psi_M'" in err
+
+
+def test_axiom_failures_still_exit_one(capsys, tmp_path):
+    # psi(1) = 1 (x) 1 flipped to 0 stays inside the target basis.
+    def edit(maps):
+        for entry in maps["psi_M"]["entries"]:
+            if entry["deg"] == 0:
+                entry["bits"] = [entry["bits"][0] ^ 1]
+    path = flipped_fixture(tmp_path, "planted.json", edit)
+    code, out, _ = run(capsys, ["validate", "--input", path])
+    assert code == 1 and "violation" in out
+
+    code, _, err = run(capsys, ["mm-split", "--input", path])
+    assert code == 1 and err.startswith("verification failed")
+
+
 def test_config_file_merges_defaults(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"slope": "5/9", "max_shift": 12}))
@@ -294,6 +363,22 @@ def test_verify_all_passes_and_is_byte_stable(capsys):
 
     code, out2, _ = run(capsys, ["verify-all"])
     assert code == 0 and out2 == out1
+
+
+def test_verify_all_marks_a_budget_overrun(capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "CHECKS",
+                        (("instant", 0.0, lambda: (True, "ok")),))
+    code, out, err = run(capsys, ["verify-all"])
+    # Only stderr shows the overrun; stdout and the exit code are unchanged.
+    assert code == 0
+    assert out.splitlines() == ["[ 1/1] instant                  PASS",
+                                "all 1 acceptance checks passed"]
+    assert "instant:" in err and err.rstrip().endswith("OVER")
+
+    monkeypatch.setattr(acceptance, "CHECKS",
+                        (("instant", 60.0, lambda: (True, "ok")),))
+    code, _, err = run(capsys, ["verify-all"])
+    assert code == 0 and "OVER" not in err
 
 
 def test_console_entry_point():

@@ -3,11 +3,19 @@ projective-space ring, and the Moore-object fixtures."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
+from hypothesis import given, strategies as strats
 
 from motalg import steenrod as st
+
+
+def records_digest(res):
+    doc = json.dumps(res.to_records(), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +45,28 @@ def test_formal_operator_atoms():
     assert st.beta_of(st.beta_of(st.X)) is None
     assert st.render_mono(st.mono_mul(st.TAU, st.sq_of(1, st.X))) == "Sq^1(x)*tau"
     assert st.render_mono(st.ONE) == "1"
+
+
+def reference_mul(a, b):
+    return tuple(sorted(a + b, key=st.render_factor))
+
+
+# Canonical monomials: nested Sq^j(-) and beta(-) atoms over x and tau, in
+# products sorted by rendering.
+canonical_monos = strats.recursive(
+    strats.sampled_from([st.ONE, st.X, st.TAU]),
+    lambda inner: strats.one_of(
+        strats.builds(st.sq_of, strats.integers(0, 5), inner),
+        strats.builds(st.beta_of, inner).filter(lambda m: m is not None),
+        strats.builds(reference_mul, inner, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@given(canonical_monos, canonical_monos)
+def test_mono_mul_sorts_factors_by_rendering(a, b):
+    assert st.mono_mul(a, b) == reference_mul(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +116,32 @@ def test_flag_closure_in_both_directions(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_pushing_coefficients_back_recovers_the_input(n):
     assert st.roundtrip_check(n)
+    # A rewrite the caller already holds is checked as given.
+    assert st.roundtrip_check(n, st.commute_right(n))
+    if n > 1:
+        assert not st.roundtrip_check(n, st.commute_right(n - 1))
+
+
+@pytest.fixture(scope="module")
+def right8():
+    return st.commute_right(8)
+
+
+def test_rule_counts_are_frozen(right8):
+    rules = [st.commute_right(n).rules for n in range(1, 8)] + [right8.rules]
+    assert rules == [2, 9, 37, 149, 597, 2389, 9557, 38229]
+
+
+def test_n8_rewrites_are_frozen(right8):
+    assert len(right8.terms) == 24057
+    assert records_digest(right8) == (
+        "e984ed8bb615101d54405e2e6289228c67a901efc36912902602d1bc99fd755d"
+    )
+    left8 = st.commute_left(8)
+    assert len(left8.terms) == 17
+    assert records_digest(left8) == (
+        "3824df36f222e7ae7207eac3eca5db06ada1c1db0fa91f67455233b34eea9559"
+    )
 
 
 def test_commute_rejects_nonpositive_index():
