@@ -301,10 +301,6 @@ class TateSum:
         return f"TateSum({{{body}}}, trunc={self.trunc})"
 
 
-def tate_sum(a: TateSum, b: TateSum) -> TateSum:
-    return a + b
-
-
 def tensor(a: TateSum, b: TateSum) -> TateSum:
     return a.tensor(b)
 

@@ -107,6 +107,30 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False))
 
 
+def _emit_product_sum_json(E) -> None:
+    """Print _emit_json(E.to_dict()) byte for byte, one product at a time,
+    rendering each distinct cell once."""
+    write = sys.stdout.write
+    if not E.products:
+        write(f'{{\n "products": [],\n "trunc": {E.trunc}\n}}\n')
+        return
+    cell_text: dict = {}
+    write('{\n "products": [\n')
+    sep = ""
+    for prod, m in E:
+        texts = []
+        for c in prod:
+            text = cell_text.get(c)
+            if text is None:
+                text = cell_text[c] = (f'    {{\n     "p": {c.p},\n'
+                                       f'     "w": {c.w}\n    }}')
+            texts.append(text)
+        factors = ("[\n" + ",\n".join(texts) + "\n   ]") if texts else "[]"
+        write(f'{sep}  {{\n   "factors": {factors},\n   "mult": {m}\n  }}')
+        sep = ",\n"
+    write(f'\n ],\n "trunc": {E.trunc}\n}}\n')
+
+
 def _load(path: str):
     try:
         return load_file(path)
@@ -191,7 +215,7 @@ def cmd_suspension(args) -> int:
 def cmd_ei(args) -> int:
     E = build_Ei(args.i, args.slope, args.max_shift)
     if args.format == "json":
-        _emit_json(E.to_dict())
+        _emit_product_sum_json(E)
     else:
         print(f"E_{args.i}  slope {args.slope}  trunc {E.trunc}  "
               f"{E.total()} products")

@@ -42,16 +42,39 @@ class StructureFile(NamedTuple):
     maps: dict[str, GradedMap]
 
 
+def _is_int(value) -> bool:
+    # json.load gives exactly int for a JSON integer; true/false come back as
+    # bool, an int subclass, and numeric strings stay str.
+    return type(value) is int
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise MalformedStructure(f"{what} has the wrong JSON type: {value!r}")
+    return value
+
+
 def load_doc(doc: dict) -> StructureFile:
-    try:
-        N = int(doc["trunc"])
-    except (KeyError, TypeError, ValueError):
+    _expect(doc, dict, "structure file")
+    N = doc.get("trunc")
+    if not _is_int(N):
         raise MalformedStructure("missing or malformed 'trunc'")
     spaces: dict[str, GradedSpace] = {"k": k_space(N)}
-    for name, body in doc.get("spaces", {}).items():
+    for name, body in _expect(doc.get("spaces", {}), dict, "'spaces'").items():
+        body = _expect(body, dict, f"space {name}")
         degrees = {}
-        for dstr, labels in body.get("degrees", {}).items():
-            degrees[int(dstr)] = [str(x) for x in labels]
+        for dstr, labels in _expect(body.get("degrees", {}), dict,
+                                    f"space {name} degrees").items():
+            # Object keys are strings in JSON.  Only the plain decimal form
+            # is a degree, so "01" and "1" cannot both name degree 1.
+            try:
+                d = int(dstr)
+            except ValueError:
+                d = None
+            if str(d) != dstr:
+                raise MalformedStructure(f"space {name}: degree key {dstr!r}")
+            labels = _expect(labels, list, f"space {name} labels")
+            degrees[d] = [str(x) for x in labels]
         spaces[name] = GradedSpace(name, degrees, N)
 
     def resolve(ref):
@@ -64,12 +87,28 @@ def load_doc(doc: dict) -> StructureFile:
         raise MalformedStructure(f"malformed space reference {ref!r}")
 
     maps: dict[str, GradedMap] = {}
-    for name, body in doc.get("maps", {}).items():
+    for name, body in _expect(doc.get("maps", {}), dict, "'maps'").items():
+        body = _expect(body, dict, f"map {name}")
+        if "source" not in body or "target" not in body:
+            raise MalformedStructure(f"map {name}: needs 'source' and 'target'")
         src = resolve(body["source"])
         dst = resolve(body["target"])
         rows: dict[int, list[int]] = {}
-        for entry in body.get("entries", []):
-            rows[int(entry["deg"])] = [int(b) for b in entry["bits"]]
+        for entry in _expect(body.get("entries", []), list,
+                             f"map {name} entries"):
+            if not isinstance(entry, dict) or not {"deg", "bits"} <= entry.keys():
+                raise MalformedStructure(
+                    f"map {name}: entry {entry!r} needs 'deg' and 'bits'")
+            d, bits = entry["deg"], entry["bits"]
+            if not (_is_int(d) and 0 <= d <= N):
+                raise MalformedStructure(
+                    f"map {name}: entry degree {d!r} is not an integer in 0..{N}")
+            if d in rows:
+                raise MalformedStructure(f"map {name}: two entries for degree {d}")
+            if not (isinstance(bits, list) and all(map(_is_int, bits))):
+                raise MalformedStructure(
+                    f"map {name}: rows in degree {d} must be JSON integers")
+            rows[d] = bits
         maps[name] = GradedMap(name, src, dst, rows)
     return StructureFile(N, spaces, maps)
 
@@ -106,12 +145,6 @@ def dump_doc(trunc: int, spaces: dict[str, GradedSpace],
             "entries": entries,
         }
     return doc
-
-
-def dump_file(path: str, trunc: int, spaces, maps) -> None:
-    with open(path, "w") as fh:
-        json.dump(dump_doc(trunc, spaces, maps), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _require(sf: StructureFile, *names: str) -> list[GradedMap]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from math import comb
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .bigraded import BiDegree, StarGrading, TateSum
 from .extpower import SMembershipViolation, d2_cell, d2_sum, s_member
@@ -102,6 +102,16 @@ class ProductSum:
         object.__setattr__(self, "products", dict(sorted(acc.items())))
         object.__setattr__(self, "trunc", trunc)
 
+    @classmethod
+    def _trusted(cls, acc: dict[Product, int], trunc: int) -> "ProductSum":
+        """Wrap products that are already sorted tuples of BiDegree factors
+        of shift >= 1, with positive multiplicities and total shift <= trunc;
+        only the order of the products is established here."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "products", dict(sorted(acc.items())))
+        object.__setattr__(self, "trunc", trunc)
+        return self
+
     def __setattr__(self, *_):
         raise AttributeError("ProductSum is immutable")
 
@@ -141,7 +151,7 @@ class ProductSum:
                 for prod2, m2 in bucket:
                     key = tuple(sorted(prod1 + prod2))
                     acc[key] = acc.get(key, 0) + m1 * m2
-        return ProductSum(acc, trunc)
+        return ProductSum._trusted(acc, trunc)
 
     def to_dict(self) -> dict:
         return {
@@ -181,66 +191,77 @@ def _d2_step(E: ProductSum, q: StarGrading, trunc: int) -> ProductSum:
         if mult:
             acc[prod] = acc.get(prod, 0) + mult
 
+    # Every cell in the expansion of (p, w) has shift >= 2p, so a product of
+    # shift s expands to shift >= 2s.  Expand, and check 𝒮 on, each factor
+    # that an unpruned distribution would reach (those whose earlier factors
+    # leave 2 * shift <= trunc), in that order, so that a failing slope
+    # raises the same violation as without the bound.
     expansions: dict[BiDegree, list[BiDegree]] = {}
-
-    def expand(cell: BiDegree) -> list[BiDegree]:
-        cached = expansions.get(cell)
-        if cached is None:
-            cached = []
-            for c, _ in d2_cell(cell, trunc):
-                res = s_member(c, q)
-                if not res.ok:
-                    raise SMembershipViolation(c, res.failed)
-                cached.append(c)
-            expansions[cell] = cached
-        return cached
-
-    # Diagonal: distribute the expansion of each factor over the product.
-    for prod, m in E.products.items():
-        partial: list[tuple[Product, int]] = [((), 0)]
+    for prod in E.products:
+        shift = 0
         for factor in prod:
-            grown: list[tuple[Product, int]] = []
-            for chosen, shift_sum in partial:
-                for c in expand(factor):
-                    s = shift_sum + c.p
-                    if s <= trunc:
-                        grown.append((chosen + (c,), s))
-            partial = grown
-            if not partial:
+            if 2 * shift > trunc:
                 break
-        for chosen, _ in partial:
-            add(tuple(sorted(chosen)), m)
+            if factor not in expansions:
+                cells = [c for c, _ in d2_cell(factor, trunc)]
+                for c in cells:
+                    res = s_member(c, q)
+                    if not res.ok:
+                        raise SMembershipViolation(c, res.failed)
+                expansions[factor] = cells
+            shift += factor.p
+
+    by_shift = _bucket_by_shift(E.products)
+
+    # Diagonal: distribute the expansion of each factor over the product,
+    # keeping a partial product only while its shift plus twice the shift
+    # of the factors still to come stays within the truncation.  Expansions
+    # are sorted by shift, so the first cell over the bound ends the scan.
+    for shift, bucket in by_shift.items():
+        if 2 * shift > trunc:
+            continue
+        for prod, m in bucket:
+            rest = shift
+            partial: list[tuple[Product, int]] = [((), 0)]
+            for factor in prod:
+                rest -= factor.p
+                room = trunc - 2 * rest
+                grown: list[tuple[Product, int]] = []
+                for chosen, shift_sum in partial:
+                    for c in expansions[factor]:
+                        s = shift_sum + c.p
+                        if s > room:
+                            break
+                        grown.append((chosen + (c,), s))
+                partial = grown
+            for chosen, _ in partial:
+                add(tuple(sorted(chosen)), m)
 
     # Cross: unordered pairs of product copies, bucketed by total shift so
-    # only compatible shift pairs are examined.
-    by_shift = _bucket_by_shift(E.products)
+    # only compatible shift pairs are examined.  Buckets keep the sorted
+    # order of E, so within one bucket a product pairs with itself (C(m, 2)
+    # copies) and with the products after it.
     shifts = sorted(by_shift)
     for ia, sa in enumerate(shifts):
+        bucket_a = by_shift[sa]
         for sb in shifts[ia:]:
             if sa + sb > trunc:
                 break
-            for prod1, m1 in by_shift[sa]:
-                for prod2, m2 in by_shift[sb]:
-                    if sa == sb and prod2 < prod1:
-                        continue
+            bucket_b = by_shift[sb]
+            for j, (prod1, m1) in enumerate(bucket_a):
+                for prod2, m2 in bucket_b[j:] if sa == sb else bucket_b:
                     if prod1 == prod2:
                         mult = m1 * (m1 - 1) // 2
                     else:
                         mult = m1 * m2
                     add(tuple(sorted(prod1 + prod2)), mult)
 
-    return ProductSum(acc, trunc)
+    return ProductSum._trusted(acc, trunc)
 
 
-def build_Ei(i: int, q, trunc: int) -> ProductSum:
-    """The inductive container E_i at slope q, truncated by total shift.
-
-    E_1 = {[(1,0)]}; for i with several set bits, E_i = E_{i1} ⊗ E_{i2}
-    along the carry-free split; for i = 2^a, one _d2_step on E_{2^{a-1}}.
-    Requires 3/5 < q < 1 so that the 𝒮-closure certificate can succeed.
-    """
-    if i < 1:
-        raise InvalidInput(f"need i >= 1, got {i}")
+def _container_rows(q, trunc: int) -> Callable[[int], ProductSum]:
+    """The container recursion at one slope and truncation: a function
+    n -> E_n that builds each E_m it needs once and keeps it."""
     g = StarGrading.from_slope(q)
     if not (0 < g.slope < 1):
         raise InvalidInput(f"need slope 0 < q < 1, got {g.slope}")
@@ -259,7 +280,19 @@ def build_Ei(i: int, q, trunc: int) -> ProductSum:
         cache[n] = E
         return E
 
-    return rec(i)
+    return rec
+
+
+def build_Ei(i: int, q, trunc: int) -> ProductSum:
+    """The inductive container E_i at slope q, truncated by total shift.
+
+    E_1 = {[(1,0)]}; for i with several set bits, E_i = E_{i1} ⊗ E_{i2}
+    along the carry-free split; for i = 2^a, one _d2_step on E_{2^{a-1}}.
+    Requires 3/5 < q < 1 so that the 𝒮-closure certificate can succeed.
+    """
+    if i < 1:
+        raise InvalidInput(f"need i >= 1, got {i}")
+    return _container_rows(q, trunc)(i)
 
 
 class Certificate(NamedTuple):
@@ -307,14 +340,14 @@ def nsym_series(max_i: int, q, trunc: int) -> dict:
     if max_i < 0:
         raise InvalidInput(f"need max_i >= 0, got {max_i}")
     g = StarGrading.from_slope(q)
-    rows: dict[int, TateSum] = {}
-    for i in range(max_i + 1):
-        if i == 0:
-            rows[i] = TateSum({BiDegree(0, 0): 1}, trunc)
-        elif i == 1:
-            rows[i] = TateSum({BiDegree(1, 0): 1}, trunc)
-        else:
-            rows[i] = build_Ei(i, g, trunc).flatten()
+    rows: dict[int, TateSum] = {0: TateSum({BiDegree(0, 0): 1}, trunc)}
+    if max_i >= 1:
+        rows[1] = TateSum({BiDegree(1, 0): 1}, trunc)
+    if max_i >= 2:
+        # One recursion for every row, so each sub-container is built once.
+        container = _container_rows(g, trunc)
+        for i in range(2, max_i + 1):
+            rows[i] = container(i).flatten()
     combined = TateSum.zero(trunc)
     for row in rows.values():
         combined = combined + row

@@ -3,6 +3,7 @@ shapes, error channels, and byte stability of the verification run."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from motalg import acceptance, cli
 from motalg.bigraded import BiDegree
 from motalg.extpower import d2_cell
+from motalg.nsym import ProductSum, build_Ei
 
 
 def run(capsys, argv):
@@ -78,6 +80,27 @@ def test_ei_listing_and_membership_failure(capsys):
     assert code == 1
     assert err.strip() == "verification failed: cell (5,3) not in S: below_line"
 
+    # The benchmark's E_16 row at truncation 28, byte for byte.
+    code, out, _ = run(capsys, ["ei", "--i", "16", "--slope", "2/3",
+                                "--max-shift", "28", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e1d9ab67280da7b88b9ccc19856a237589cdba886e4648503cab6bd424d83921")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_Ei(3, "2/3", 12),
+    lambda: build_Ei(6, "2/3", 16),
+    lambda: build_Ei(8, "2/3", 20),
+    lambda: ProductSum({}, 3),
+    lambda: ProductSum({(): 2, ((1, 0), (2, 1)): 1}, 3),
+], ids=["E3", "E6", "E8", "empty", "empty-product"])
+def test_streamed_container_json_equals_json_dumps(make, capsys):
+    E = make()
+    cli._emit_product_sum_json(E)
+    assert capsys.readouterr().out == json.dumps(
+        E.to_dict(), indent=1, sort_keys=True, ensure_ascii=False) + "\n"
+
 
 def test_nsym_table(capsys):
     code, out, _ = run(capsys, ["nsym", "--max-i", "3", "--max-shift", "12"])
@@ -92,6 +115,13 @@ def test_nsym_table(capsys):
     doc = json.loads(out)
     assert doc["rows"]["0"] == {"0": 1}
     assert doc["rows"]["1"] == {"2": 1}
+
+    # The benchmark's nsym table, byte for byte.
+    code, out, _ = run(capsys, ["nsym", "--max-i", "16", "--slope", "2/3",
+                                "--max-shift", "24", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f89017f8e2b7a2fa7a9c28c08ec2bace3d917980072ae55d4a4eb93be647e560")
 
 
 def test_vanish_certificate(capsys):
@@ -318,6 +348,42 @@ def test_malformed_structure_exits_two(verb, capsys, tmp_path):
     path = flipped_fixture(tmp_path, "lambda_t.json", drop)
     code, _, err = run(capsys, [verb, "--input", path])
     assert code == 2 and "missing map 'psi_M'" in err
+
+
+def _entry(key, value):
+    def edit(doc):
+        doc["maps"]["eta_l"]["entries"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _entry("deg", None),
+    _entry("deg", "0"),
+    _entry("deg", True),
+    _entry("deg", 99),
+    _entry("bits", ["1"]),
+    _entry("bits", 1),
+    lambda doc: doc.update(trunc="4"),
+    lambda doc: doc.update(maps=[]),
+    lambda doc: doc["maps"]["eta_l"].update(entries={}),
+    lambda doc: doc["maps"]["eta_l"]["entries"].append({"deg": 0, "bits": [1]}),
+    lambda doc: doc["maps"]["eta_l"].pop("source"),
+    lambda doc: doc["spaces"]["R"].update(degrees=[]),
+    lambda doc: doc["spaces"]["R"]["degrees"].update(x=["z"]),
+    lambda doc: doc["spaces"]["R"]["degrees"].update({"01": ["z"]}),
+], ids=["deg-null", "deg-string", "deg-bool", "deg-outside", "bits-string",
+        "bits-scalar", "trunc-string", "maps-list", "entries-object",
+        "duplicate-degree", "no-source", "degrees-list", "degree-key",
+        "degree-key-padded"])
+def test_hostile_structure_documents_exit_two(edit, capsys, tmp_path):
+    with open(fixture("right_unit_good.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["validate", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad structure file") and "Traceback" not in err
 
 
 def test_axiom_failures_still_exit_one(capsys, tmp_path):

@@ -171,6 +171,76 @@ def test_flatten_commutes_with_tensor_on_splits():
 
 
 # ---------------------------------------------------------------------------
+# the pruned quadratic step against an unpruned reference
+
+def _reference_step(E, q, trunc):
+    """The quadratic step without the 2p shift bound: every product of E
+    distributed factor by factor, plus all unordered cross pairs, through
+    the validating constructor."""
+    acc = {}
+
+    def add(prod, mult):
+        key = tuple(sorted(prod))
+        acc[key] = acc.get(key, 0) + mult
+
+    def expand(cell):
+        cells = [c for c, _ in d2_cell(cell, trunc)]
+        for c in cells:
+            res = s_member(c, q)
+            if not res.ok:
+                raise SMembershipViolation(c, res.failed)
+        return cells
+
+    for prod, m in E:
+        partial = [((), 0)]
+        for factor in prod:
+            partial = [(chosen + (c,), s + c.p)
+                       for chosen, s in partial for c in expand(factor)
+                       if s + c.p <= trunc]
+            if not partial:
+                break
+        for chosen, _ in partial:
+            add(chosen, m)
+    items = list(E)
+    for a, (prod1, m1) in enumerate(items):
+        add(prod1 + prod1, m1 * (m1 - 1) // 2)
+        for prod2, m2 in items[a + 1:]:
+            add(prod1 + prod2, m1 * m2)
+    return ProductSum(acc, trunc)
+
+
+def _reference_Ei(i, q, trunc):
+    if i == 1:
+        return ProductSum({((1, 0),): 1}, trunc)
+    if i & (i - 1) == 0:
+        return _reference_step(_reference_Ei(i // 2, q, trunc), q, trunc)
+    s = binary_split(i)
+    E1, E2 = _reference_Ei(s.i1, q, trunc), _reference_Ei(s.i2, q, trunc)
+    acc = {}
+    for prod1, m1 in E1:
+        for prod2, m2 in E2:
+            key = tuple(sorted(prod1 + prod2))
+            acc[key] = acc.get(key, 0) + m1 * m2
+    return ProductSum(acc, trunc)
+
+
+def _outcome(build, i, q, trunc):
+    try:
+        return build(i, q, trunc).to_json()
+    except SMembershipViolation as exc:
+        return ("violation", exc.cell, exc.reason)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16),
+       st.sampled_from(["2/3", "3/4", "5/7", "5/9", "1/2"]),
+       st.integers(0, 22))
+def test_build_matches_the_unpruned_reference(i, q, trunc):
+    # Equal containers, or the same 𝒮 violation (5/9 and 1/2 leave the family).
+    assert _outcome(build_Ei, i, q, trunc) == _outcome(_reference_Ei, i, q, trunc)
+
+
+# ---------------------------------------------------------------------------
 # vanishing certificates
 
 def test_min_slack_table():
@@ -182,6 +252,14 @@ def test_min_slack_table():
         assert cert.ok
         slacks[i] = cert.min_slack
     assert slacks == {2: 1, 3: 3, 4: 1, 6: 2, 8: 2, 16: 4}
+
+
+def test_e32_certifies_at_truncation_40():
+    cert = vanishing_certificate(build_Ei(32, Q, 40), Q)
+    assert cert.ok and cert.min_slack == 8
+    assert cert.witness == (BiDegree(40, 24),)
+    # Every product of E_64 has shift >= 64 > 40.
+    assert len(build_Ei(64, Q, 40)) == 0
 
 
 def test_certificate_witness_realizes_the_minimum():
