@@ -377,11 +377,6 @@ def cmd_validate(args) -> int:
     return OK if not violations else FAIL
 
 
-def _vector_labels(space, d: int, vec: int) -> str:
-    names = [space.labels(d)[i] for i in range(space.dim(d)) if vec >> i & 1]
-    return " + ".join(names) if names else "0"
-
-
 def cmd_primitives(args) -> int:
     sf = _load(args.input)
     if sf is None:
@@ -395,7 +390,7 @@ def cmd_primitives(args) -> int:
             "dims": {str(d): prim.space.dim(d) for d in prim.space.degrees()},
             "vectors": {
                 str(d): [
-                    _vector_labels(Mc.M, d, prim.inclusion.row(d, i))
+                    Mc.M.describe(d, prim.inclusion.row(d, i))
                     for i in range(prim.space.dim(d))
                 ]
                 for d in prim.space.degrees()
@@ -404,7 +399,7 @@ def cmd_primitives(args) -> int:
     else:
         for d in prim.space.degrees():
             for i in range(prim.space.dim(d)):
-                vec = _vector_labels(Mc.M, d, prim.inclusion.row(d, i))
+                vec = Mc.M.describe(d, prim.inclusion.row(d, i))
                 print(f"degree {d}: {vec}")
     return OK
 

@@ -203,11 +203,6 @@ def suspension_relation_check(j: int, trunc: int) -> bool:
     return lhs == rhs
 
 
-def in_formula_range(d) -> bool:
-    p, w = BiDegree(*d)
-    return 2 * w - p >= -1
-
-
 def s_cells(q, max_p: int) -> Iterable[BiDegree]:
     """All 𝒮 cells with shift 1 <= p <= max_p, in lex order.
 

@@ -27,10 +27,6 @@ def mat_mul(a: list[int], b: list[int]) -> list[int]:
     return [mat_vec(b, row) for row in a]
 
 
-def mat_add(a: list[int], b: list[int]) -> list[int]:
-    return [x ^ y for x, y in zip(a, b, strict=True)]
-
-
 def identity(n: int) -> list[int]:
     return [1 << i for i in range(n)]
 

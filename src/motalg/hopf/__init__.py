@@ -4,6 +4,7 @@ splitting, and the generalized pipeline over a graded base ring."""
 from .core import (
     ComoduleData,
     DegreeCertificate,
+    GradedAlgebra,
     GradedMap,
     GradedSpace,
     HopfData,
@@ -16,12 +17,12 @@ from .core import (
     SplitFailed,
     TensorSpace,
     Violation,
-    compose,
     identity_map,
     k_space,
     mm_split,
     pair_apply,
     primitives,
+    validate_algebra,
     validate_comodule,
     validate_hopf,
     zero_map,
@@ -31,14 +32,12 @@ from .algebroid import (
     Cor22Input,
     Cor22Report,
     FreenessFailed,
-    GradedAlgebra,
     HypothesisFailed,
     IsoFailed,
     RightUnitReport,
     Witnesses,
     cor22_pipeline,
     right_unit_descends,
-    validate_algebra,
     validate_algebroid,
 )
 from . import build, io
@@ -50,7 +49,7 @@ __all__ = [
     "IsoFailed", "MMSplit", "MalformedStructure", "NotConnected",
     "NotSurjective", "Primitives", "RightUnitReport", "SplitFailed",
     "TensorSpace", "Violation", "Witnesses",
-    "build", "compose", "cor22_pipeline", "identity_map", "io", "k_space",
+    "build", "cor22_pipeline", "identity_map", "io", "k_space",
     "mm_split", "pair_apply", "primitives", "right_unit_descends",
     "validate_algebra", "validate_algebroid", "validate_comodule",
     "validate_hopf", "zero_map",

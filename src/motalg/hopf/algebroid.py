@@ -18,6 +18,7 @@ from .. import gf2
 from .core import (
     ComoduleData,
     DegreeCertificate,
+    GradedAlgebra,
     GradedMap,
     GradedSpace,
     HopfData,
@@ -27,10 +28,16 @@ from .core import (
     SplitFailed,
     TensorSpace,
     Violation,
+    _bits,
+    _dedup,
+    _left_apply,
+    _pair_label,
     _pairs_of,
+    _walk,
+    algebra_map_violations,
     k_space,
     mm_split,
-    pair_apply,
+    validate_algebra,
     validate_comodule,
     validate_hopf,
 )
@@ -49,86 +56,6 @@ class IsoFailed(Exception):
         super().__init__(
             f"lifted map fails to be an isomorphism in degree {degree}"
         )
-
-
-@dataclass
-class GradedAlgebra:
-    """A graded unital algebra by structure constants up to N."""
-
-    space: GradedSpace
-    unit: GradedMap   # k -> space
-    mult: GradedMap   # space (x) space -> space
-
-    def __post_init__(self):
-        self.SS = TensorSpace(self.space, self.space)
-        self.N = self.space.N
-
-    @property
-    def unit_vec(self) -> int:
-        return self.unit.rows[0][0] if self.unit.rows[0] else 0
-
-    def mult_apply(self, da: int, va: int, db: int, vb: int) -> int:
-        return pair_apply(self.mult, self.SS, da, va, db, vb)
-
-
-def validate_algebra(
-    alg: GradedAlgebra, N: int | None = None, commutative: bool = False
-) -> list[Violation]:
-    N = alg.N if N is None else min(N, alg.N)
-    S = alg.space
-    out: list[Violation] = []
-    one = alg.unit_vec
-    if one == 0:
-        out.append(Violation("unit", 0, "unit map is zero"))
-        return out
-    for d in range(0, N + 1):
-        for i in range(S.dim(d)):
-            label = S.labels(d)[i]
-            if alg.mult_apply(0, one, d, 1 << i) != 1 << i:
-                out.append(Violation("left_unit", d, label))
-            if alg.mult_apply(d, 1 << i, 0, one) != 1 << i:
-                out.append(Violation("right_unit", d, label))
-        for da, ia, db, jb in alg.SS.pairs(d):
-            label = f"{S.labels(da)[ia]}(x){S.labels(db)[jb]}"
-            prod = alg.mult_apply(da, 1 << ia, db, 1 << jb)
-            if commutative:
-                if prod != alg.mult_apply(db, 1 << jb, da, 1 << ia):
-                    out.append(Violation("commutativity", d, label))
-            for dc in range(0, N - d + 1):
-                for kc in range(S.dim(dc)):
-                    l1 = alg.mult_apply(d, prod, dc, 1 << kc)
-                    inner = alg.mult_apply(db, 1 << jb, dc, 1 << kc)
-                    l2 = alg.mult_apply(da, 1 << ia, db + dc, inner)
-                    if l1 != l2:
-                        out.append(
-                            Violation(
-                                "associativity",
-                                d + dc,
-                                f"{label}(x){S.labels(dc)[kc]}",
-                            )
-                        )
-    return out
-
-
-def algebra_map_violations(
-    f: GradedMap, src: GradedAlgebra, dst: GradedAlgebra, N: int | None = None
-) -> list[Violation]:
-    N = min(src.N, dst.N) if N is None else N
-    out: list[Violation] = []
-    if f.apply(0, src.unit_vec) != dst.unit_vec:
-        out.append(Violation(f"{f.name}_unital", 0, "f(1) != 1"))
-    for d in range(0, N + 1):
-        for da, ia, db, jb in src.SS.pairs(d):
-            lhs = f.apply(d, src.mult_apply(da, 1 << ia, db, 1 << jb))
-            rhs = dst.mult_apply(
-                da, f.apply(da, 1 << ia), db, f.apply(db, 1 << jb)
-            )
-            if lhs != rhs:
-                label = (
-                    f"{src.space.labels(da)[ia]}(x){src.space.labels(db)[jb]}"
-                )
-                out.append(Violation(f"{f.name}_multiplicative", d, label))
-    return out
 
 
 Element = tuple[int, int]  # (degree, vector)
@@ -252,6 +179,8 @@ class Witnesses:
             bar_basis.setdefault(dw, []).append(label)
             self.bar_pos[g] = (dw, len(bar_basis[dw]) - 1)
         self.bar = GradedSpace(name, bar_basis, N)
+        self._vectors = {pos: self.witnesses[g][2]
+                         for g, pos in self.bar_pos.items()}
         self.entries: dict[int, list[tuple[int, int]]] = {}
         self._inv: dict[int, list[int]] = {}
         for d in range(0, N + 1):
@@ -272,6 +201,10 @@ class Witnesses:
                 raise FreenessFailed(name, d)
             self.entries[d] = entries
             self._inv[d] = inv
+
+    def vector(self, d: int, i: int) -> int:
+        """The witness at position i of the quotient basis in degree d."""
+        return self._vectors[(d, i)]
 
     def decompose(self, d: int, vec: int) -> list[tuple[int, int, int]]:
         """vec as a list of (witness index, r degree, r basis index)."""
@@ -374,55 +307,13 @@ def validate_algebroid(alg: AlgebroidData, N: int | None = None) -> list[Violati
             if alg.counit.apply(d, alg.eta_r.row(d, i)) != 1 << i:
                 out.append(Violation("counit_eta_r", d, R.space.labels(d)[i]))
 
-    BG = wl.bar
-    BGG = TensorSpace(BG, G.space)
-    for d in range(0, N + 1):
-        for i in range(G.space.dim(d)):
-            label = G.space.labels(d)[i]
-            bits = _pairs_of(alg.comult.row(d, i), BGG.pairs(d))
-            # (counit (x) id) comult = id: sum of eta_l(counit(b)) * gamma.
-            acc = 0
-            for dw, iw, dg, jg in bits:
-                wvec = _witness_vec(alg.gamma_witnesses, BG, dw, iw)
-                r = alg.counit.apply(dw, wvec)
-                acc ^= G.mult_apply(dw, alg.eta_l.apply(dw, r), dg, 1 << jg)
-            if acc != 1 << i:
-                out.append(Violation("counit_law_left", d, label))
-            # (id (x) counit) comult = id: sum of b * eta_r(counit(gamma)).
-            acc = 0
-            for dw, iw, dg, jg in bits:
-                wvec = _witness_vec(alg.gamma_witnesses, BG, dw, iw)
-                r = alg.counit.row(dg, jg)
-                acc ^= G.mult_apply(dw, wvec, dg, alg.eta_r.apply(dg, r))
-            if acc != 1 << i:
-                out.append(Violation("counit_law_right", d, label))
-            # Coassociativity in (BG, BG, Gamma) coordinates.
-            lhs: set = set()
-            rhs: set = set()
-            for dw, iw, dg, jg in bits:
-                for dw2, iw2, dg2, jg2 in _pairs_of(
-                    alg.comult.row(dg, jg), BGG.pairs(dg)
-                ):
-                    rhs ^= {(dw, iw, dw2, iw2, dg2, jg2)}
-                wvec = _witness_vec(alg.gamma_witnesses, BG, dw, iw)
-                inner = 0
-                for b in range(G.space.dim(dw)):
-                    if (wvec >> b) & 1:
-                        inner ^= alg.comult.row(dw, b)
-                for dwa, iwa, dgb, jgb in _pairs_of(inner, BGG.pairs(dw)):
-                    for g, dr, ri in wr.decompose(dgb, 1 << jgb):
-                        gp = G.mult_apply(
-                            dr, alg.eta_l.row(dr, ri), dg, 1 << jg
-                        )
-                        wdeg, wpos = wr.bar_pos[g]
-                        ji = 0
-                        while gp:
-                            if gp & 1:
-                                lhs ^= {(dwa, iwa, wdeg, wpos, dr + dg, ji)}
-                            gp >>= 1
-                            ji += 1
-            if lhs != rhs:
-                out.append(Violation("coassociativity", d, label))
+    BGG = TensorSpace(wl.bar, G.space)
+    out += _walk(G.space, G.SS, N, [
+        _free_counit(alg, G, alg.comult, wl, BGG, alg.eta_r,
+                     "counit_law_left", "counit_law_right"),
+        _free_coassociativity(alg, G, alg.comult, wl, BGG, wr,
+                              "coassociativity"),
+    ])
 
     if alg.antipode is not None:
         c = alg.antipode
@@ -444,22 +335,74 @@ def validate_algebroid(alg: AlgebroidData, N: int | None = None) -> list[Violati
     return _dedup(out)
 
 
-def _witness_vec(witnesses, bar: GradedSpace, dw: int, iw: int) -> int:
-    label = bar.labels(dw)[iw]
-    for d, lab, vec in witnesses:
-        if d == dw and lab == label:
-            return vec
-    raise KeyError((dw, iw))
+# ---------------------------------------------------------------------------
+# Axiom checkers in the free presentation, shared by the comultiplication of
+# Gamma and the coaction of M.  A coaction of X (Gamma or M) lands in
+# TensorSpace(BX, Gamma), BX the quotient basis of the witnesses wx of X
+# over R; the checks are called as in core._walk.
+
+def _moved(alg: AlgebroidData, w: Witnesses, d: int, vec: int, dg: int,
+           gvec: int):
+    """vec (x) gvec with vec in degree d written as a sum of witnesses of w
+    times R, each r moved across the tensor sign as eta_l(r) * gvec: yields
+    (witness degree, witness position, Gamma degree, Gamma vector)."""
+    for g, dr, ri in w.decompose(d, vec):
+        wdeg, wpos = w.bar_pos[g]
+        yield wdeg, wpos, dr + dg, alg.gamma.mult_apply(
+            dr, alg.eta_l.rows[dr][ri], dg, gvec)
 
 
-def _dedup(violations: list[Violation]) -> list[Violation]:
-    seen = set()
-    out = []
-    for v in violations:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+def _free_counit(
+    alg: AlgebroidData, X: GradedAlgebra, coaction: GradedMap, wx: Witnesses,
+    BXG: TensorSpace, eta_x: GradedMap, left: str | None, right: str,
+):
+    """(id (x) counit) coaction = id, the sum of w * eta_x(counit(gamma))
+    over coaction(x) = sum w (x) gamma, reported as `right`; and, when
+    `left` names it, (counit (x) id) coaction = id, the sum of
+    eta_l(counit(w)) * gamma."""
+    def check(d, i):
+        acc_l = 0
+        acc_r = 0
+        for dw, iw, dg, jg in _pairs_of(coaction.rows[d][i], BXG.pairs(d)):
+            wvec = wx.vector(dw, iw)
+            if left:
+                r = alg.counit.apply(dw, wvec)
+                acc_l ^= X.mult_apply(dw, alg.eta_l.apply(dw, r), dg, 1 << jg)
+            r = alg.counit.rows[dg][jg]
+            acc_r ^= X.mult_apply(dw, wvec, dg, eta_x.apply(dg, r))
+        out = []
+        if left and acc_l != 1 << i:
+            out.append(Violation(left, d, X.space.labels(d)[i]))
+        if acc_r != 1 << i:
+            out.append(Violation(right, d, X.space.labels(d)[i]))
+        return out
+    return check
+
+
+def _free_coassociativity(
+    alg: AlgebroidData, X: GradedAlgebra, coaction: GradedMap, wx: Witnesses,
+    BXG: TensorSpace, wr: Witnesses, name: str,
+):
+    """(coaction (x) id) coaction = (id (x) comult) coaction in (BX, BG,
+    Gamma) coordinates, the middle factor of the left side rewritten over
+    the right witnesses wr of Gamma."""
+    BGG = TensorSpace(wr.bar, alg.gamma.space)
+
+    def check(d, i):
+        lhs: set = set()
+        rhs: set = set()
+        for dw, iw, dg, jg in _pairs_of(coaction.rows[d][i], BXG.pairs(d)):
+            rhs.symmetric_difference_update(
+                (dw, iw, *t)
+                for t in _pairs_of(alg.comult.rows[dg][jg], BGG.pairs(dg)))
+            inner = coaction.apply(dw, wx.vector(dw, iw))
+            for dwa, iwa, dgb, jgb in _pairs_of(inner, BXG.pairs(dw)):
+                for wdeg, wpos, dgp, gp in _moved(alg, wr, dgb, 1 << jgb,
+                                                  dg, 1 << jg):
+                    lhs.symmetric_difference_update(
+                        (dwa, iwa, wdeg, wpos, dgp, ji) for ji in _bits(gp))
+        return [] if lhs == rhs else [Violation(name, d, X.space.labels(d)[i])]
+    return check
 
 
 @dataclass
@@ -518,111 +461,51 @@ class Cor22Report(NamedTuple):
 def _comodule_structure_violations(inp: Cor22Input, wm: Witnesses,
                                    wg_right: Witnesses, N: int) -> list[Violation]:
     """Coaction and phi compatibilities over R, in the free presentation."""
-    alg, M, G = inp.alg, inp.m, inp.alg.gamma
+    alg, M, G, psi = inp.alg, inp.m, inp.alg.gamma, inp.psi
     out: list[Violation] = []
     out += validate_algebra(M, N)
     out += algebra_map_violations(inp.eta_m, alg.R, M, N)
     out += algebra_map_violations(inp.phi, M, G, N)
 
-    BM = wm.bar
-    BG = wg_right.bar
-    BMG = TensorSpace(BM, G.space)
-    BGG = TensorSpace(BG, G.space)
+    BMG = TensorSpace(wm.bar, G.space)
+    BGG = TensorSpace(wg_right.bar, G.space)
 
-    for d in range(0, N + 1):
-        for i in range(M.space.dim(d)):
-            label = M.space.labels(d)[i]
-            bits = _pairs_of(inp.psi.row(d, i), BMG.pairs(d))
-            # Counital: (id (x) counit) psi = id.
-            acc = 0
-            for dw, iw, dg, jg in bits:
-                wvec = _witness_vec(inp.m_witnesses, BM, dw, iw)
-                r = alg.counit.row(dg, jg)
-                acc ^= M.mult_apply(dw, wvec, dg, inp.eta_m.apply(dg, r))
-            if acc != 1 << i:
-                out.append(Violation("coaction_counital", d, label))
-            # Coassociative: (psi (x) id) psi = (id (x) comult) psi.
-            lhs: set = set()
-            rhs: set = set()
-            for dw, iw, dg, jg in bits:
-                for dw2, iw2, dg2, jg2 in _pairs_of(
-                    alg.comult.row(dg, jg), BGG.pairs(dg)
-                ):
-                    rhs ^= {(dw, iw, dw2, iw2, dg2, jg2)}
-                wvec = _witness_vec(inp.m_witnesses, BM, dw, iw)
-                inner = 0
-                for b in range(M.space.dim(dw)):
-                    if (wvec >> b) & 1:
-                        inner ^= inp.psi.row(dw, b)
-                for dwa, iwa, dgb, jgb in _pairs_of(inner, BMG.pairs(dw)):
-                    for g, dr, ri in wg_right.decompose(dgb, 1 << jgb):
-                        gp = G.mult_apply(dr, alg.eta_l.row(dr, ri), dg, 1 << jg)
-                        wdeg, wpos = wg_right.bar_pos[g]
-                        ji = 0
-                        while gp:
-                            if gp & 1:
-                                lhs ^= {(dwa, iwa, wdeg, wpos, dr + dg, ji)}
-                            gp >>= 1
-                            ji += 1
-            if lhs != rhs:
-                out.append(Violation("coaction_coassociative", d, label))
-            # Compatibility of phi: (phi (x) id) psi = comult phi.
-            lhsp: set = set()
-            rhsp: set = set()
-            for idx in range(G.space.dim(d)):
-                if (inp.phi.row(d, i) >> idx) & 1:
-                    for tup in _pairs_of(alg.comult.row(d, idx), BGG.pairs(d)):
-                        rhsp ^= {tup}
-            for dw, iw, dg, jg in bits:
-                wvec = _witness_vec(inp.m_witnesses, BM, dw, iw)
-                img = inp.phi.apply(dw, wvec)
-                for g, dr, ri in wg_right.decompose(dw, img):
-                    gp = G.mult_apply(dr, alg.eta_l.row(dr, ri), dg, 1 << jg)
-                    wdeg, wpos = wg_right.bar_pos[g]
-                    ji = 0
-                    while gp:
-                        if gp & 1:
-                            lhsp ^= {(wdeg, wpos, dr + dg, ji)}
-                        gp >>= 1
-                        ji += 1
-            if lhsp != rhsp:
-                out.append(Violation("phi_comodule_map", d, label))
+    def phi_comodule_map(d, i):
+        # (phi (x) id) psi = comult phi.
+        lhs = 0
+        for dw, iw, dg, jg in _pairs_of(psi.rows[d][i], BMG.pairs(d)):
+            img = inp.phi.apply(dw, wm.vector(dw, iw))
+            for wdeg, wpos, _, gp in _moved(alg, wg_right, dw, img, dg, 1 << jg):
+                lhs ^= gp << BGG.index(d, wdeg, wpos, 0)
+        if lhs == alg.comult.apply(d, inp.phi.rows[d][i]):
+            return []
+        return [Violation("phi_comodule_map", d, M.space.labels(d)[i])]
 
-        # Coaction is R-linear and an algebra map.
-        for da, ia, db, jb in M.SS.pairs(d):
-            label = f"{M.space.labels(da)[ia]}(x){M.space.labels(db)[jb]}"
-            prod = M.mult_apply(da, 1 << ia, db, 1 << jb)
-            lhs2: set = set()
-            for idx in range(M.space.dim(d)):
-                if (prod >> idx) & 1:
-                    for tup in _pairs_of(inp.psi.row(d, idx), BMG.pairs(d)):
-                        lhs2 ^= {tup}
-            rhs2: set = set()
-            for dw1, iw1, dg1, jg1 in _pairs_of(
-                inp.psi.row(da, ia), BMG.pairs(da)
-            ):
-                for dw2, iw2, dg2, jg2 in _pairs_of(
-                    inp.psi.row(db, jb), BMG.pairs(db)
-                ):
-                    wv1 = _witness_vec(inp.m_witnesses, BM, dw1, iw1)
-                    wv2 = _witness_vec(inp.m_witnesses, BM, dw2, iw2)
-                    wprod = M.mult_apply(dw1, wv1, dw2, wv2)
-                    gprod = G.mult_apply(dg1, 1 << jg1, dg2, 1 << jg2)
-                    if not wprod or not gprod:
-                        continue
-                    for g, dr, ri in wm.decompose(dw1 + dw2, wprod):
-                        gp = G.mult_apply(
-                            dr, alg.eta_l.row(dr, ri), dg1 + dg2, gprod
-                        )
-                        wdeg, wpos = wm.bar_pos[g]
-                        ji = 0
-                        while gp:
-                            if gp & 1:
-                                rhs2 ^= {(wdeg, wpos, dr + dg1 + dg2, ji)}
-                            gp >>= 1
-                            ji += 1
-            if lhs2 != rhs2:
-                out.append(Violation("coaction_algebra_map", d, label))
+    def coaction_algebra_map(d, k, da, ia, db, jb):
+        # psi(x * y) = psi(x) * psi(y), products of witnesses rewritten
+        # over the witnesses of M.
+        rhs = 0
+        for dw1, iw1, dg1, jg1 in _pairs_of(psi.rows[da][ia], BMG.pairs(da)):
+            for dw2, iw2, dg2, jg2 in _pairs_of(psi.rows[db][jb], BMG.pairs(db)):
+                wprod = M.mult_apply(dw1, wm.vector(dw1, iw1),
+                                     dw2, wm.vector(dw2, iw2))
+                gprod = G.basis_product(dg1, jg1, dg2, jg2)
+                if not wprod or not gprod:
+                    continue
+                for wdeg, wpos, _, gp in _moved(alg, wm, dw1 + dw2, wprod,
+                                                dg1 + dg2, gprod):
+                    rhs ^= gp << BMG.index(d, wdeg, wpos, 0)
+        if psi.apply(d, M.mult.rows[d][k]) == rhs:
+            return []
+        return [Violation("coaction_algebra_map", d,
+                          _pair_label(M.space, da, ia, db, jb))]
+
+    out += _walk(M.space, M.SS, N, [
+        _free_counit(alg, M, psi, wm, BMG, inp.eta_m, None, "coaction_counital"),
+        _free_coassociativity(alg, M, psi, wm, BMG, wg_right,
+                              "coaction_coassociative"),
+        phi_comodule_map,
+    ], [coaction_algebra_map])
     return _dedup(out)
 
 
@@ -679,7 +562,7 @@ def cor22_pipeline(inp: Cor22Input, N: int | None = None) -> Cor22Report:
     Mbar = _reduced_comodule(inp, wm, wg, Hbar, N)
     phibar_rows = {
         d: [
-            wg.project(d, inp.phi.apply(d, _witness_vec(inp.m_witnesses, wm.bar, d, i)))
+            wg.project(d, inp.phi.apply(d, wm.vector(d, i)))
             for i in range(wm.bar.dim(d))
         ]
         for d in range(0, N + 1)
@@ -707,18 +590,8 @@ def cor22_pipeline(inp: Cor22Input, N: int | None = None) -> Cor22Report:
     theta_rows: dict[int, list[int]] = {}
     cert: list[DegreeCertificate] = []
     for d in range(0, N + 1):
-        rows = []
-        for i in range(M.space.dim(d)):
-            out = 0
-            for dw, iw, dg, jg in _pairs_of(inp.psi.row(d, i), BMG.pairs(d)):
-                av = mm.alpha.apply(dw, 1 << iw)
-                vi = 0
-                while av:
-                    if av & 1:
-                        out ^= 1 << VG.index(d, dw, vi, jg)
-                    av >>= 1
-                    vi += 1
-            rows.append(out)
+        rows = [_left_apply(mm.alpha, BMG, VG, d, inp.psi.row(d, i))
+                for i in range(M.space.dim(d))]
         theta_rows[d] = rows
         ok = VG.dim(d) == M.space.dim(d) and gf2.is_invertible(
             rows, M.space.dim(d)
@@ -738,88 +611,54 @@ def cor22_pipeline(inp: Cor22Input, N: int | None = None) -> Cor22Report:
     )
 
 
-def _reduced_hopf(alg: AlgebroidData, wg: Witnesses, N: int) -> HopfData:
-    """Gamma mod R_+ Gamma, a connected Hopf algebra on the witness basis."""
-    G = alg.gamma
-    bar = GradedSpace("A", {d: wg.bar.labels(d) for d in wg.bar.degrees()}, N)
-    AA = TensorSpace(bar, bar)
-    mult_rows: dict[int, list[int]] = {}
-    for d in range(0, N + 1):
-        rows = []
-        for da, ia, db, jb in AA.pairs(d):
-            va = _witness_vec(alg.gamma_witnesses, wg.bar, da, ia)
-            vb = _witness_vec(alg.gamma_witnesses, wg.bar, db, jb)
-            rows.append(wg.project(d, G.mult_apply(da, va, db, vb)))
-        mult_rows[d] = rows
-    comult_rows: dict[int, list[int]] = {}
-    BGG = TensorSpace(wg.bar, G.space)
+def _reduction(
+    X: GradedAlgebra, wx: Witnesses, coaction: GradedMap, wg: Witnesses,
+    right, N: int, name: str,
+):
+    """X mod R_+ on the witness basis of wx, as the space `name` with its
+    unit, product and coaction: the coaction goes from TensorSpace(BX,
+    Gamma) to space (x) right, projecting Gamma onto the witnesses wg;
+    right is Gamma mod R_+, or None for the reduced space itself."""
+    bar = GradedSpace(name, {d: wx.bar.labels(d) for d in wx.bar.degrees()}, N)
+    SS = TensorSpace(bar, bar)
+    mult_rows = {
+        d: [wx.project(d, X.mult_apply(da, wx.vector(da, ia),
+                                       db, wx.vector(db, jb)))
+            for da, ia, db, jb in SS.pairs(d)]
+        for d in range(0, N + 1)
+    }
+    BXG = TensorSpace(wx.bar, wg.space)
+    target = TensorSpace(bar, bar if right is None else right)
+    coaction_rows: dict[int, list[int]] = {}
     for d in range(0, N + 1):
         rows = []
         for i in range(bar.dim(d)):
-            wvec = _witness_vec(alg.gamma_witnesses, wg.bar, d, i)
-            acc = 0
-            for b in range(G.space.dim(d)):
-                if (wvec >> b) & 1:
-                    acc ^= alg.comult.row(d, b)
             out = 0
-            for dw, iw, dg, jg in _pairs_of(acc, BGG.pairs(d)):
-                pg = wg.project(dg, 1 << jg)
-                ji = 0
-                while pg:
-                    if pg & 1:
-                        out ^= 1 << AA.index(d, dw, iw, ji)
-                    pg >>= 1
-                    ji += 1
+            vec = coaction.apply(d, wx.vector(d, i))
+            for dw, iw, dg, jg in _pairs_of(vec, BXG.pairs(d)):
+                out ^= wg.project(dg, 1 << jg) << target.index(d, dw, iw, 0)
             rows.append(out)
-        comult_rows[d] = rows
-    k = k_space(N)
-    unit = GradedMap("unit", k, bar, {0: [wg.project(0, G.unit_vec)]})
-    counit = GradedMap(
-        "counit", bar, k, {0: [1] * bar.dim(0)}
+        coaction_rows[d] = rows
+    return (
+        bar,
+        GradedMap(f"unit_{name}", k_space(N), bar,
+                  {0: [wx.project(0, X.unit_vec)]}),
+        GradedMap(f"mult_{name}", SS, bar, mult_rows),
+        GradedMap(f"coaction_{name}", bar, target, coaction_rows),
     )
-    mult = GradedMap("mult", AA, bar, mult_rows)
-    comult = GradedMap("comult", bar, AA, comult_rows)
-    return HopfData(bar, unit, counit, mult, comult, N)
+
+
+def _reduced_hopf(alg: AlgebroidData, wg: Witnesses, N: int) -> HopfData:
+    """Gamma mod R_+ Gamma, a connected Hopf algebra on the witness basis."""
+    A, unit, mult, comult = _reduction(
+        alg.gamma, wg, alg.comult, wg, None, N, "A")
+    counit = GradedMap("counit_A", A, k_space(N), {0: [1] * A.dim(0)})
+    return HopfData(A, unit, counit, mult, comult, N)
 
 
 def _reduced_comodule(
     inp: Cor22Input, wm: Witnesses, wg: Witnesses, Hbar: HopfData, N: int
 ) -> ComoduleData:
-    M = inp.m
-    bar = GradedSpace("M", {d: wm.bar.labels(d) for d in wm.bar.degrees()}, N)
-    MM = TensorSpace(bar, bar)
-    mult_rows: dict[int, list[int]] = {}
-    for d in range(0, N + 1):
-        rows = []
-        for da, ia, db, jb in MM.pairs(d):
-            va = _witness_vec(inp.m_witnesses, wm.bar, da, ia)
-            vb = _witness_vec(inp.m_witnesses, wm.bar, db, jb)
-            rows.append(wm.project(d, M.mult_apply(da, va, db, vb)))
-        mult_rows[d] = rows
-    MA = TensorSpace(bar, Hbar.A)
-    BMG = TensorSpace(wm.bar, inp.alg.gamma.space)
-    coaction_rows: dict[int, list[int]] = {}
-    for d in range(0, N + 1):
-        rows = []
-        for i in range(bar.dim(d)):
-            wvec = _witness_vec(inp.m_witnesses, wm.bar, d, i)
-            acc = 0
-            for b in range(M.space.dim(d)):
-                if (wvec >> b) & 1:
-                    acc ^= inp.psi.row(d, b)
-            out = 0
-            for dw, iw, dg, jg in _pairs_of(acc, BMG.pairs(d)):
-                pg = wg.project(dg, 1 << jg)
-                ji = 0
-                while pg:
-                    if pg & 1:
-                        out ^= 1 << MA.index(d, dw, iw, ji)
-                    pg >>= 1
-                    ji += 1
-            rows.append(out)
-        coaction_rows[d] = rows
-    k = k_space(N)
-    unit = GradedMap("unit_M", k, bar, {0: [wm.project(0, M.unit_vec)]})
-    mult = GradedMap("mult_M", MM, bar, mult_rows)
-    coaction = GradedMap("psi_M", bar, MA, coaction_rows)
-    return ComoduleData(bar, unit, mult, coaction, Hbar)
+    M, unit, mult, psi = _reduction(
+        inp.m, wm, inp.psi, wg, Hbar.A, N, "M")
+    return ComoduleData(M, unit, mult, psi, Hbar)

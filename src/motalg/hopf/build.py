@@ -6,13 +6,16 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .algebroid import AlgebroidData, Cor22Input
 from .core import (
     ComoduleData,
+    GradedAlgebra,
     GradedMap,
     GradedSpace,
     HopfData,
     InvalidStructure,
     TensorSpace,
+    _pairs_of,
     k_space,
 )
 
@@ -140,7 +143,7 @@ def planted_comodule(C: GradedSpace, H: HopfData) -> tuple[ComoduleData, GradedM
                 rows.append(0)
                 continue
             cd, ci = (ca, xa) if cb == 0 else (cb, xb)
-            prod = H.mult_apply(aa, 1 << ya, ab, 1 << yb)
+            prod = H.algebra.basis_product(aa, ya, ab, yb)
             out = 0
             zi = 0
             while prod:
@@ -157,7 +160,7 @@ def planted_comodule(C: GradedSpace, H: HopfData) -> tuple[ComoduleData, GradedM
         rows = []
         for dc, ci, da, ai in CA.pairs(d):
             out = 0
-            for e1, y1, e2, y2 in _bits_pairs(H.comult.row(da, ai), AA.pairs(da)):
+            for e1, y1, e2, y2 in _pairs_of(H.comult.row(da, ai), AA.pairs(da)):
                 mi = CA.index(dc + e1, dc, ci, y1)
                 out ^= 1 << MA.index(d, dc + e1, mi, y2)
             rows.append(out)
@@ -179,21 +182,10 @@ def planted_comodule(C: GradedSpace, H: HopfData) -> tuple[ComoduleData, GradedM
     return Mc, phi
 
 
-def _bits_pairs(vec: int, pairs):
-    i = 0
-    while vec:
-        if vec & 1:
-            yield pairs[i]
-        vec >>= 1
-        i += 1
-
-
 # ---------------------------------------------------------------------------
 # Algebroid-level instances: a polynomial base R = F2[t] with an exterior
 # extension Gamma = R[x]/(x^2), the three standard pipeline inputs, and the
 # pair of right-unit fixtures (one descending, one failing at deg x + deg y).
-
-from .algebroid import AlgebroidData, Cor22Input, GradedAlgebra  # noqa: E402
 
 
 def polynomial_base(N: int, var: str = "t") -> GradedAlgebra:

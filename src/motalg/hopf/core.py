@@ -10,7 +10,7 @@ fixed order, so all computations are canonical in the stored basis order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .. import gf2
 
@@ -97,13 +97,15 @@ class TensorSpace:
     """The tensor product of two spaces, with degree-d basis enumerated as
     (lower left degree first, then left index, then right index)."""
 
-    __slots__ = ("left", "right", "N", "_pairs")
+    __slots__ = ("left", "right", "N", "_pairs", "_blocks")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
         self.N = min(left.N, right.N)
         self._pairs: dict[int, list[tuple[int, int, int, int]]] = {}
+        # d -> per left degree da, (offset of its block, right dimension).
+        self._blocks: dict[int, list[tuple[int, int]]] = {}
 
     @property
     def name(self) -> str:
@@ -113,23 +115,31 @@ class TensorSpace:
         cached = self._pairs.get(d)
         if cached is None:
             cached = []
+            blocks = []
             for da in range(0, d + 1):
                 la, lb = self.left.dim(da), self.right.dim(d - da)
+                blocks.append((len(cached), lb))
                 for i in range(la):
                     for j in range(lb):
                         cached.append((da, i, d - da, j))
             self._pairs[d] = cached
+            self._blocks[d] = blocks
         return cached
+
+    def block(self, d: int, da: int) -> tuple[int, int]:
+        """Offset of the (da, d - da) block in pairs(d), and the dimension
+        of its right factor."""
+        if d not in self._blocks:
+            self.pairs(d)
+        return self._blocks[d][da]
 
     def dim(self, d: int) -> int:
         return len(self.pairs(d))
 
     def index(self, d: int, da: int, i: int, j: int) -> int:
-        # Offset of (da, i, d-da, j) in the enumeration above.
-        off = 0
-        for e in range(0, da):
-            off += self.left.dim(e) * self.right.dim(d - e)
-        return off + i * self.right.dim(d - da) + j
+        # Position of (da, i, d-da, j) in the enumeration above.
+        off, rdim = self.block(d, da)
+        return off + i * rdim + j
 
     def labels(self, d: int) -> tuple[str, ...]:
         return tuple(
@@ -139,11 +149,6 @@ class TensorSpace:
 
     def degrees(self) -> list[int]:
         return [d for d in range(self.N + 1) if self.dim(d)]
-
-    def describe(self, d: int, vec: int) -> str:
-        labels = self.labels(d)
-        parts = [labels[i] for i in range(len(labels)) if (vec >> i) & 1]
-        return " + ".join(parts) if parts else "0"
 
 
 class GradedMap:
@@ -198,13 +203,16 @@ def identity_map(space: GradedSpace) -> GradedMap:
     return GradedMap(f"id_{space.name}", space, space, rows)
 
 
-def compose(name: str, f: GradedMap, g: GradedMap) -> GradedMap:
-    """g after f (f first)."""
-    rows = {
-        d: [g.apply(d, r) for r in f.rows[d]]
-        for d in range(min(f.N, g.N) + 1)
-    }
-    return GradedMap(name, f.source, g.target, rows)
+def _bits(vec: int) -> Iterator[int]:
+    """Positions of the set bits of vec, lowest first."""
+    while vec:
+        low = vec & -vec
+        yield low.bit_length() - 1
+        vec ^= low
+
+
+def _pairs_of(vec: int, pairs) -> list:
+    return [pairs[i] for i in _bits(vec)]
 
 
 def pair_apply(
@@ -216,20 +224,50 @@ def pair_apply(
         raise InvalidStructure(f"product degree {d} beyond truncation")
     out = 0
     rows = mult.rows[d]
-    a = va
-    i = 0
-    while a:
-        if a & 1:
-            b = vb
-            j = 0
-            while b:
-                if b & 1:
-                    out ^= rows[pair_space.index(d, da, i, j)]
-                b >>= 1
-                j += 1
-        a >>= 1
-        i += 1
+    off, rdim = pair_space.block(d, da)
+    for i in _bits(va):
+        base = off + i * rdim
+        for j in _bits(vb):
+            out ^= rows[base + j]
     return out
+
+
+def _left_apply(
+    f: GradedMap, src: TensorSpace, dst: TensorSpace, d: int, vec: int
+) -> int:
+    """(f (x) id)(vec) for vec in src_d, in the coordinates of dst_d."""
+    out = 0
+    for da, ia, _, jb in _pairs_of(vec, src.pairs(d)):
+        off, rdim = dst.block(d, da)
+        for k in _bits(f.rows[da][ia]):
+            out ^= 1 << (off + k * rdim + jb)
+    return out
+
+
+@dataclass
+class GradedAlgebra:
+    """A graded unital algebra by structure constants up to N."""
+
+    space: GradedSpace
+    unit: GradedMap   # k -> space
+    mult: GradedMap   # space (x) space -> space
+
+    def __post_init__(self):
+        self.SS = TensorSpace(self.space, self.space)
+        self.N = self.space.N
+
+    @property
+    def unit_vec(self) -> int:
+        return self.unit.rows[0][0] if self.unit.rows[0] else 0
+
+    def mult_apply(self, da: int, va: int, db: int, vb: int) -> int:
+        return pair_apply(self.mult, self.SS, da, va, db, vb)
+
+    def basis_product(self, da: int, i: int, db: int, j: int) -> int:
+        """Product of the i-th basis vector of degree da and the j-th of
+        degree db, read off the structure constants."""
+        d = da + db
+        return self.mult.rows[d][self.SS.index(d, da, i, j)]
 
 
 @dataclass
@@ -246,15 +284,8 @@ class HopfData:
     def __post_init__(self):
         if self.N == 0:
             self.N = self.A.N
-        self.AA = TensorSpace(self.A, self.A)
-
-    @property
-    def unit_vec(self) -> int:
-        return self.unit.rows[0][0] if self.unit.rows[0] else 0
-
-    def mult_apply(self, da: int, va: int, db: int, vb: int) -> int:
-        """Product of the elements va (degree da) and vb (degree db)."""
-        return pair_apply(self.mult, self.AA, da, va, db, vb)
+        self.algebra = GradedAlgebra(self.A, self.unit, self.mult)
+        self.AA = self.algebra.SS
 
 
 @dataclass
@@ -272,15 +303,9 @@ class ComoduleData:
     def __post_init__(self):
         if self.N == 0:
             self.N = min(self.M.N, self.hopf.N)
-        self.MM = TensorSpace(self.M, self.M)
+        self.algebra = GradedAlgebra(self.M, self.unit, self.mult)
+        self.MM = self.algebra.SS
         self.MA = TensorSpace(self.M, self.hopf.A)
-
-    @property
-    def unit_vec(self) -> int:
-        return self.unit.rows[0][0] if self.unit.rows[0] else 0
-
-    def mult_apply(self, da: int, va: int, db: int, vb: int) -> int:
-        return pair_apply(self.mult, self.MM, da, va, db, vb)
 
 
 class Violation(NamedTuple):
@@ -290,212 +315,6 @@ class Violation(NamedTuple):
 
     def __str__(self):
         return f"{self.axiom} violated in degree {self.degree}: {self.detail}"
-
-
-def _pairs_of(vec: int, pairs):
-    out = []
-    i = 0
-    while vec:
-        if vec & 1:
-            out.append(pairs[i])
-        vec >>= 1
-        i += 1
-    return out
-
-
-def validate_hopf(H: HopfData, N: int | None = None) -> list[Violation]:
-    """Check every Hopf axiom degree by degree; an empty report is valid."""
-    N = H.N if N is None else min(N, H.N)
-    A, AA = H.A, H.AA
-    out: list[Violation] = []
-
-    if A.dim(0) != 1:
-        out.append(Violation("connected", 0, f"dim A_0 = {A.dim(0)}"))
-        return out
-    one = H.unit_vec
-    if one == 0:
-        out.append(Violation("unit", 0, "unit map is zero"))
-        return out
-    if H.counit.apply(0, one) != 1:
-        out.append(Violation("counit_splits_unit", 0, "counit(1) != 1"))
-
-    for d in range(0, N + 1):
-        for i in range(A.dim(d)):
-            label = A.labels(d)[i]
-            # Unit laws.
-            left = H.mult_apply(0, one, d, 1 << i)
-            right = H.mult_apply(d, 1 << i, 0, one)
-            if left != 1 << i:
-                out.append(Violation("left_unit", d, label))
-            if right != 1 << i:
-                out.append(Violation("right_unit", d, label))
-            # Counit laws on the comultiplication.
-            psi = H.comult.row(d, i)
-            eps_id = 0
-            id_eps = 0
-            for da, ia, db, jb in _pairs_of(psi, AA.pairs(d)):
-                if da == 0 and H.counit.apply(0, 1 << ia):
-                    eps_id ^= 1 << jb
-                if db == 0 and H.counit.apply(0, 1 << jb):
-                    id_eps ^= 1 << ia
-            if eps_id != 1 << i:
-                out.append(Violation("counit_left", d, label))
-            if id_eps != 1 << i:
-                out.append(Violation("counit_right", d, label))
-            # Counit must vanish on positive degrees.
-            if d > 0 and H.counit.row(d, i) != 0:
-                out.append(Violation("counit_graded", d, label))
-            # Coassociativity: expand both routes into triple coordinates.
-            lhs: set = set()
-            rhs: set = set()
-            for da, ia, db, jb in _pairs_of(psi, AA.pairs(d)):
-                for ea, xa, eb, xb in _pairs_of(
-                    H.comult.row(da, ia), AA.pairs(da)
-                ):
-                    lhs ^= {(ea, xa, eb, xb, db, jb)}
-                for ea, xa, eb, xb in _pairs_of(
-                    H.comult.row(db, jb), AA.pairs(db)
-                ):
-                    rhs ^= {(da, ia, ea, xa, eb, xb)}
-            if lhs != rhs:
-                out.append(Violation("coassociativity", d, label))
-
-        # Associativity and bialgebra compatibility on pair bases.
-        for da, ia, db, jb in AA.pairs(d):
-            label = f"{A.labels(da)[ia]}(x){A.labels(db)[jb]}"
-            # Bialgebra: comult(mult(x, y)) = comult(x) * comult(y).
-            prod = H.mult_apply(da, 1 << ia, db, 1 << jb)
-            lhs_pairs: set = set()
-            for idx in range(A.dim(d)):
-                if (prod >> idx) & 1:
-                    for tup in _pairs_of(H.comult.row(d, idx), AA.pairs(d)):
-                        lhs_pairs ^= {tup}
-            rhs_pairs: set = set()
-            for d1, x1, d2, x2 in _pairs_of(
-                H.comult.row(da, ia), AA.pairs(da)
-            ):
-                for e1, y1, e2, y2 in _pairs_of(
-                    H.comult.row(db, jb), AA.pairs(db)
-                ):
-                    left = H.mult_apply(d1, 1 << x1, e1, 1 << y1)
-                    right = H.mult_apply(d2, 1 << x2, e2, 1 << y2)
-                    fl = d1 + e1
-                    fr = d2 + e2
-                    li = 0
-                    while left:
-                        if left & 1:
-                            ri = 0
-                            r = right
-                            while r:
-                                if r & 1:
-                                    rhs_pairs ^= {(fl, li, fr, ri)}
-                                r >>= 1
-                                ri += 1
-                        left >>= 1
-                        li += 1
-            if lhs_pairs != rhs_pairs:
-                out.append(Violation("bialgebra", d, label))
-            # Associativity against every third factor.
-            for dc in range(0, N - d + 1):
-                for kc in range(A.dim(dc)):
-                    l1 = H.mult_apply(da + db, prod, dc, 1 << kc)
-                    inner = H.mult_apply(db, 1 << jb, dc, 1 << kc)
-                    l2 = H.mult_apply(da, 1 << ia, db + dc, inner)
-                    if l1 != l2:
-                        out.append(
-                            Violation(
-                                "associativity",
-                                d + dc,
-                                f"{label}(x){A.labels(dc)[kc]}",
-                            )
-                        )
-    return _dedup(out)
-
-
-def validate_comodule(Mc: ComoduleData, N: int | None = None) -> list[Violation]:
-    """Comodule-algebra axioms: counital + coassociative coaction that is an
-    algebra map; also basic algebra axioms on M itself."""
-    N = Mc.N if N is None else min(N, Mc.N)
-    M, A, MA = Mc.M, Mc.hopf.A, Mc.MA
-    AA = Mc.hopf.AA
-    out: list[Violation] = []
-
-    if M.dim(0) != 1:
-        out.append(Violation("connected", 0, f"dim M_0 = {M.dim(0)}"))
-        return out
-    one = Mc.unit_vec
-    if one == 0:
-        out.append(Violation("unit", 0, "unit map is zero"))
-        return out
-
-    eps = Mc.hopf.counit
-    for d in range(0, N + 1):
-        for i in range(M.dim(d)):
-            label = M.labels(d)[i]
-            left = Mc.mult_apply(0, one, d, 1 << i)
-            right = Mc.mult_apply(d, 1 << i, 0, one)
-            if left != 1 << i:
-                out.append(Violation("left_unit", d, label))
-            if right != 1 << i:
-                out.append(Violation("right_unit", d, label))
-            psi = Mc.coaction.row(d, i)
-            # Counital: (id (x) counit) psi = id.
-            id_eps = 0
-            for dm, im, da, ja in _pairs_of(psi, MA.pairs(d)):
-                if da == 0 and eps.apply(0, 1 << ja):
-                    id_eps ^= 1 << im
-            if id_eps != 1 << i:
-                out.append(Violation("coaction_counital", d, label))
-            # Coassociative: (psi (x) id) psi = (id (x) comult) psi.
-            lhs: set = set()
-            rhs: set = set()
-            for dm, im, da, ja in _pairs_of(psi, MA.pairs(d)):
-                for em, xm, ea, xa in _pairs_of(
-                    Mc.coaction.row(dm, im), MA.pairs(dm)
-                ):
-                    lhs ^= {(em, xm, ea, xa, da, ja)}
-                for e1, y1, e2, y2 in _pairs_of(
-                    Mc.hopf.comult.row(da, ja), AA.pairs(da)
-                ):
-                    rhs ^= {(dm, im, e1, y1, e2, y2)}
-            if lhs != rhs:
-                out.append(Violation("coaction_coassociative", d, label))
-
-        # Coaction is an algebra map.
-        for da, ia, db, jb in Mc.MM.pairs(d):
-            label = f"{M.labels(da)[ia]}(x){M.labels(db)[jb]}"
-            prod = Mc.mult_apply(da, 1 << ia, db, 1 << jb)
-            lhs_pairs: set = set()
-            for idx in range(M.dim(d)):
-                if (prod >> idx) & 1:
-                    for tup in _pairs_of(Mc.coaction.row(d, idx), MA.pairs(d)):
-                        lhs_pairs ^= {tup}
-            rhs_pairs: set = set()
-            for d1, x1, d2, x2 in _pairs_of(
-                Mc.coaction.row(da, ia), MA.pairs(da)
-            ):
-                for e1, y1, e2, y2 in _pairs_of(
-                    Mc.coaction.row(db, jb), MA.pairs(db)
-                ):
-                    left = Mc.mult_apply(d1, 1 << x1, e1, 1 << y1)
-                    right = Mc.hopf.mult_apply(d2, 1 << x2, e2, 1 << y2)
-                    fl, fr = d1 + e1, d2 + e2
-                    li = 0
-                    lv = left
-                    while lv:
-                        if lv & 1:
-                            ri = 0
-                            rv = right
-                            while rv:
-                                if rv & 1:
-                                    rhs_pairs ^= {(fl, li, fr, ri)}
-                                rv >>= 1
-                                ri += 1
-                        lv >>= 1
-                        li += 1
-            if lhs_pairs != rhs_pairs:
-                out.append(Violation("coaction_algebra_map", d, label))
-    return _dedup(out)
 
 
 def _dedup(violations: list[Violation]) -> list[Violation]:
@@ -508,6 +327,253 @@ def _dedup(violations: list[Violation]) -> list[Violation]:
     return out
 
 
+def _pair_label(space: GradedSpace, da: int, ia: int, db: int, jb: int) -> str:
+    return f"{space.labels(da)[ia]}(x){space.labels(db)[jb]}"
+
+
+# ---------------------------------------------------------------------------
+# Axiom checkers.  Each axiom is written once, as a factory returning a check
+# on one basis element, called as check(d, i), or on one basis pair of a
+# tensor square, called as check(d, k, da, ia, db, jb) with k the pair's
+# position in pairs(d).  A check returns the violations it finds there, and
+# the validators below differ only in which checks they hand to _walk.
+
+ElementCheck = Callable[[int, int], list]
+PairCheck = Callable[[int, int, int, int, int, int], list]
+
+
+def _walk(
+    space: GradedSpace,
+    pair_space: TensorSpace,
+    N: int,
+    element_checks: Sequence[ElementCheck],
+    pair_checks: Sequence[PairCheck] = (),
+) -> list[Violation]:
+    """In each degree d up to N: every element check on each basis element
+    of space, then every pair check on each basis pair of pair_space.  The
+    report keeps that order."""
+    out: list[Violation] = []
+    for d in range(0, N + 1):
+        for i in range(space.dim(d)):
+            for check in element_checks:
+                out += check(d, i)
+        if pair_checks:
+            for k, (da, ia, db, jb) in enumerate(pair_space.pairs(d)):
+                for check in pair_checks:
+                    out += check(d, k, da, ia, db, jb)
+    return out
+
+
+def _unit_laws(alg: GradedAlgebra) -> ElementCheck:
+    """1 * x = x = x * 1."""
+    one = alg.unit_vec
+
+    def check(d, i):
+        x = 1 << i
+        out = []
+        if alg.mult_apply(0, one, d, x) != x:
+            out.append(Violation("left_unit", d, alg.space.labels(d)[i]))
+        if alg.mult_apply(d, x, 0, one) != x:
+            out.append(Violation("right_unit", d, alg.space.labels(d)[i]))
+        return out
+    return check
+
+
+def _commutativity(alg: GradedAlgebra) -> PairCheck:
+    """x * y = y * x."""
+    def check(d, k, da, ia, db, jb):
+        if alg.mult.rows[d][k] == alg.basis_product(db, jb, da, ia):
+            return []
+        return [Violation("commutativity", d,
+                          _pair_label(alg.space, da, ia, db, jb))]
+    return check
+
+
+def _associativity(alg: GradedAlgebra, N: int) -> PairCheck:
+    """(x * y) * z = x * (y * z) against every basis z up to degree N."""
+    S, SS, rows = alg.space, alg.SS, alg.mult.rows
+
+    def check(d, k, da, ia, db, jb):
+        xy = list(_bits(rows[d][k]))
+        out = []
+        for dc in range(0, N - d + 1):
+            e = d + dc
+            row_e = rows[e]
+            off_l, _ = SS.block(e, d)            # (xy) (x) z, right dim = dim S_dc
+            off_r, rdim_r = SS.block(e, da)      # x (x) (yz)
+            off_yz, _ = SS.block(db + dc, db)    # y (x) z
+            n = S.dim(dc)
+            base_r = off_r + ia * rdim_r
+            yz_row = rows[db + dc]
+            for kc in range(n):
+                yz = yz_row[off_yz + jb * n + kc]
+                if not (xy or yz):
+                    continue
+                lhs = 0
+                for p in xy:
+                    lhs ^= row_e[off_l + p * n + kc]
+                rhs = 0
+                for q in _bits(yz):
+                    rhs ^= row_e[base_r + q]
+                if lhs != rhs:
+                    label = _pair_label(S, da, ia, db, jb)
+                    out.append(Violation("associativity", e,
+                                         f"{label}(x){S.labels(dc)[kc]}"))
+        return out
+    return check
+
+
+def _counit(
+    space, coaction: GradedMap, pair_space: TensorSpace, counit: GradedMap,
+    left: str | None, right: str,
+) -> ElementCheck:
+    """(id (x) counit) coaction = id, reported as `right`; and, when `left`
+    names it, (counit (x) id) coaction = id."""
+    eps = counit.rows[0]
+
+    def check(d, i):
+        eps_id = 0
+        id_eps = 0
+        for da, ia, db, jb in _pairs_of(coaction.rows[d][i], pair_space.pairs(d)):
+            if left and da == 0 and eps[ia]:
+                eps_id ^= 1 << jb
+            if db == 0 and eps[jb]:
+                id_eps ^= 1 << ia
+        out = []
+        if left and eps_id != 1 << i:
+            out.append(Violation(left, d, space.labels(d)[i]))
+        if id_eps != 1 << i:
+            out.append(Violation(right, d, space.labels(d)[i]))
+        return out
+    return check
+
+
+def _coassociativity(
+    space, coaction: GradedMap, pair_space: TensorSpace,
+    comult: GradedMap, AA: TensorSpace, name: str,
+) -> ElementCheck:
+    """(coaction (x) id) coaction = (id (x) comult) coaction, both expanded
+    into triple coordinates."""
+    def check(d, i):
+        lhs: set = set()
+        rhs: set = set()
+        for dm, im, da, ja in _pairs_of(coaction.rows[d][i], pair_space.pairs(d)):
+            lhs.symmetric_difference_update(
+                (*t, da, ja)
+                for t in _pairs_of(coaction.rows[dm][im], pair_space.pairs(dm)))
+            rhs.symmetric_difference_update(
+                (dm, im, *t) for t in _pairs_of(comult.rows[da][ja], AA.pairs(da)))
+        return [] if lhs == rhs else [Violation(name, d, space.labels(d)[i])]
+    return check
+
+
+def _coaction_multiplicative(
+    alg: GradedAlgebra, coaction: GradedMap, pair_space: TensorSpace,
+    coalg: GradedAlgebra, name: str,
+) -> PairCheck:
+    """coaction(x * y) = coaction(x) * coaction(y), the right side
+    multiplied factorwise in alg (x) coalg."""
+    def check(d, k, da, ia, db, jb):
+        lhs = coaction.apply(d, alg.mult.rows[d][k])
+        rhs = 0
+        for d1, x1, d2, x2 in _pairs_of(coaction.rows[da][ia], pair_space.pairs(da)):
+            for e1, y1, e2, y2 in _pairs_of(
+                coaction.rows[db][jb], pair_space.pairs(db)
+            ):
+                right = coalg.basis_product(d2, x2, e2, y2)
+                if right:
+                    off, rdim = pair_space.block(d, d1 + e1)
+                    for li in _bits(alg.basis_product(d1, x1, e1, y1)):
+                        rhs ^= right << (off + li * rdim)
+        if lhs == rhs:
+            return []
+        return [Violation(name, d, _pair_label(alg.space, da, ia, db, jb))]
+    return check
+
+
+def validate_algebra(
+    alg: GradedAlgebra, N: int | None = None, commutative: bool = False
+) -> list[Violation]:
+    """Unit laws and associativity, and commutativity when asked for."""
+    N = alg.N if N is None else min(N, alg.N)
+    if alg.unit_vec == 0:
+        return [Violation("unit", 0, "unit map is zero")]
+    pair_checks = [_commutativity(alg)] if commutative else []
+    pair_checks.append(_associativity(alg, N))
+    return _walk(alg.space, alg.SS, N, [_unit_laws(alg)], pair_checks)
+
+
+def algebra_map_violations(
+    f: GradedMap, src: GradedAlgebra, dst: GradedAlgebra, N: int | None = None
+) -> list[Violation]:
+    """f(1) = 1 and f(x * y) = f(x) * f(y)."""
+    N = min(src.N, dst.N) if N is None else N
+    out: list[Violation] = []
+    if f.apply(0, src.unit_vec) != dst.unit_vec:
+        out.append(Violation(f"{f.name}_unital", 0, "f(1) != 1"))
+
+    def multiplicative(d, k, da, ia, db, jb):
+        lhs = f.apply(d, src.mult.rows[d][k])
+        if lhs == dst.mult_apply(da, f.rows[da][ia], db, f.rows[db][jb]):
+            return []
+        return [Violation(f"{f.name}_multiplicative", d,
+                          _pair_label(src.space, da, ia, db, jb))]
+    return out + _walk(src.space, src.SS, N, (), [multiplicative])
+
+
+def validate_hopf(H: HopfData, N: int | None = None) -> list[Violation]:
+    """Check every Hopf axiom degree by degree; an empty report is valid.
+    The comultiplication is checked as A coacting on itself."""
+    N = H.N if N is None else min(N, H.N)
+    A, AA, counit = H.A, H.AA, H.counit
+    if A.dim(0) != 1:
+        return [Violation("connected", 0, f"dim A_0 = {A.dim(0)}")]
+    one = H.algebra.unit_vec
+    if one == 0:
+        return [Violation("unit", 0, "unit map is zero")]
+    out: list[Violation] = []
+    if counit.apply(0, one) != 1:
+        out.append(Violation("counit_splits_unit", 0, "counit(1) != 1"))
+
+    def counit_graded(d, i):
+        if d > 0 and counit.rows[d][i] != 0:
+            return [Violation("counit_graded", d, A.labels(d)[i])]
+        return []
+
+    out += _walk(A, AA, N, [
+        _unit_laws(H.algebra),
+        _counit(A, H.comult, AA, counit, "counit_left", "counit_right"),
+        counit_graded,
+        _coassociativity(A, H.comult, AA, H.comult, AA, "coassociativity"),
+    ], [
+        _coaction_multiplicative(H.algebra, H.comult, AA, H.algebra, "bialgebra"),
+        _associativity(H.algebra, N),
+    ])
+    return _dedup(out)
+
+
+def validate_comodule(Mc: ComoduleData, N: int | None = None) -> list[Violation]:
+    """Comodule-algebra axioms: M is connected, unital and associative, and
+    its coaction is counital ((id (x) counit) psi = id), coassociative and
+    an algebra map."""
+    N = Mc.N if N is None else min(N, Mc.N)
+    M, MA, H = Mc.M, Mc.MA, Mc.hopf
+    if M.dim(0) != 1:
+        return [Violation("connected", 0, f"dim M_0 = {M.dim(0)}")]
+    if Mc.algebra.unit_vec == 0:
+        return [Violation("unit", 0, "unit map is zero")]
+    return _dedup(_walk(M, Mc.MM, N, [
+        _unit_laws(Mc.algebra),
+        _counit(M, Mc.coaction, MA, H.counit, None, "coaction_counital"),
+        _coassociativity(M, Mc.coaction, MA, H.comult, H.AA,
+                         "coaction_coassociative"),
+    ], [
+        _coaction_multiplicative(Mc.algebra, Mc.coaction, MA, H.algebra,
+                                 "coaction_algebra_map"),
+        _associativity(Mc.algebra, N),
+    ]))
+
+
 class Primitives(NamedTuple):
     space: GradedSpace
     inclusion: GradedMap  # V -> M
@@ -518,7 +584,7 @@ def primitives(Mc: ComoduleData, N: int | None = None) -> Primitives:
     with psi(m) = m (x) 1, with its canonical inclusion into M."""
     N = Mc.N if N is None else min(N, Mc.N)
     M, MA = Mc.M, Mc.MA
-    one = Mc.hopf.unit_vec
+    one = Mc.hopf.algebra.unit_vec
     basis: dict[int, list[str]] = {}
     rows: dict[int, list[int]] = {}
     for d in range(0, N + 1):
@@ -579,37 +645,18 @@ def mm_split(
             raise NotSurjective(d)
 
     # phi is an algebra map ...
-    if phi.apply(0, Mc.unit_vec) != H.unit_vec:
+    bad = algebra_map_violations(phi, Mc.algebra, H.algebra, N)
+    if bad and bad[0].axiom == f"{phi.name}_unital":
         raise InvalidStructure("phi does not preserve the unit")
-    for d in range(0, N + 1):
-        for da, ia, db, jb in Mc.MM.pairs(d):
-            lhs = phi.apply(d, Mc.mult_apply(da, 1 << ia, db, 1 << jb))
-            rhs = H.mult_apply(
-                da, phi.apply(da, 1 << ia), db, phi.apply(db, 1 << jb)
-            )
-            if lhs != rhs:
-                raise InvalidStructure(
-                    f"phi is not an algebra map in degree {d}"
-                )
+    if bad:
+        raise InvalidStructure(
+            f"phi is not an algebra map in degree {bad[0].degree}"
+        )
     # ... and a comodule map: (phi (x) id) psi_M = psi_A phi.
-    AA = H.AA
     for d in range(0, N + 1):
         for i in range(M.dim(d)):
-            lhs: set = set()
-            for dm, im, da, ja in _pairs_of(Mc.coaction.row(d, i), MA.pairs(d)):
-                img = phi.apply(dm, 1 << im)
-                xi = 0
-                while img:
-                    if img & 1:
-                        lhs ^= {(dm, xi, da, ja)}
-                    img >>= 1
-                    xi += 1
-            rhs: set = set()
-            for idx in range(A.dim(d)):
-                if (phi.row(d, i) >> idx) & 1:
-                    for tup in _pairs_of(H.comult.row(d, idx), AA.pairs(d)):
-                        rhs ^= {tup}
-            if lhs != rhs:
+            lhs = _left_apply(phi, MA, H.AA, d, Mc.coaction.row(d, i))
+            if lhs != H.comult.apply(d, phi.row(d, i)):
                 raise InvalidStructure(
                     f"phi is not a comodule map in degree {d}"
                 )
@@ -640,18 +687,8 @@ def mm_split(
     cert = []
     for d in range(0, N + 1):
         dim = M.dim(d)
-        rows = []
-        for i in range(dim):
-            out = 0
-            for dm, im, da, ja in _pairs_of(Mc.coaction.row(d, i), MA.pairs(d)):
-                av = alpha.apply(dm, 1 << im)
-                vi = 0
-                while av:
-                    if av & 1:
-                        out ^= 1 << VA.index(d, dm, vi, ja)
-                    av >>= 1
-                    vi += 1
-            rows.append(out)
+        rows = [_left_apply(alpha, MA, VA, d, Mc.coaction.row(d, i))
+                for i in range(dim)]
         theta_rows[d] = rows
         ok = VA.dim(d) == dim and gf2.is_invertible(rows, dim)
         cert.append(DegreeCertificate(d, dim, VA.dim(d), ok))

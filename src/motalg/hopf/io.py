@@ -24,9 +24,10 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .algebroid import AlgebroidData, Cor22Input, GradedAlgebra
+from .algebroid import AlgebroidData, Cor22Input
 from .core import (
     ComoduleData,
+    GradedAlgebra,
     GradedMap,
     GradedSpace,
     HopfData,

@@ -157,7 +157,3 @@ def lattice_member(rows: list[list[int]], target: list[int]):
     if check != list(target):
         raise AssertionError("lattice solve produced a bad witness")
     return x
-
-
-def lattice_contains(rows: list[list[int]], target: list[int]) -> bool:
-    return lattice_member(rows, target) is not None

@@ -56,14 +56,6 @@ def binary_split(i: int) -> BinarySplit:
     return BinarySplit(i1, i2, carry_free, binom_odd)
 
 
-def sylow_tower(i: int) -> list[int]:
-    """Exponents of the set bits of i, descending: the heights of the iterated
-    wreath products making up a 2-Sylow subgroup of the symmetric group."""
-    if i < 1:
-        raise InvalidInput(f"need i >= 1, got {i}")
-    return [n for n in range(i.bit_length() - 1, -1, -1) if (i >> n) & 1]
-
-
 def iterated_d2_bound(d, tower: Iterable[int], trunc: int) -> TateSum:
     """Tensor over the tower heights of the n-fold quadratic-power iterate of
     the single cell d: a multiplicity-wise upper bound for the i-th power."""

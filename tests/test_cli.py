@@ -3,14 +3,22 @@ shapes, error channels, and byte stability of the verification run."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motalg import acceptance, cli
+from motalg.hopf.io import comodule_from_file, load_file
 from motalg.bigraded import BiDegree
 from motalg.extpower import d2_cell
 from motalg.nsym import ProductSum, build_Ei
@@ -398,6 +406,75 @@ def test_axiom_failures_still_exit_one(capsys, tmp_path):
 
     code, _, err = run(capsys, ["mm-split", "--input", path])
     assert code == 1 and err.startswith("verification failed")
+
+
+def test_validate_flags_a_non_associative_comodule(capsys, tmp_path):
+    # a * a = b in M but not in A: M stays unital, yet
+    # (a * a) * c2 = c2|b while a * (a * c2) = c2|a*a = 0.
+    Mc = comodule_from_file(load_file(fixture("planted.json")))
+    k = Mc.MM.pairs(2).index((1, 0, 1, 0))
+    b = Mc.M.labels(2).index("1|b")
+
+    def edit(maps):
+        entry = next(e for e in maps["mult_M"]["entries"] if e["deg"] == 2)
+        entry["bits"][k] ^= 1 << b
+    path = flipped_fixture(tmp_path, "planted.json", edit)
+    code, out, _ = run(capsys, ["validate", "--input", path, "--format", "json"])
+    assert code == 1
+    axioms = {v["axiom"] for v in json.loads(out)["violations"]}
+    assert "associativity" in axioms
+    assert not axioms & {"left_unit", "right_unit"}
+
+
+# Hostile edits of a structure document, for the exit-code property below.
+_ODD_VALUES = [None, True, False, "1", 1.5, -1, 0, 2**70, [], {}, [1], {"deg": 0}]
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, path + (i,))
+
+
+def _mutate(doc, draw):
+    """Apply one drawn edit: flip a bit of a row mask, put a value of
+    another JSON type somewhere, or drop a key or list element."""
+    paths = list(_paths(doc))[1:]
+    path = paths[draw(st.integers(0, len(paths) - 1))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    kind = draw(st.sampled_from(["flip", "swap", "drop"]))
+    if kind == "flip" and type(parent[key]) is int:
+        parent[key] ^= 1 << draw(st.integers(0, 8))
+    elif kind == "drop":
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["lambda_t.json", "right_unit_good.json"]),
+       data=st.data())
+def test_mutated_structure_documents_keep_the_exit_code_contract(name, data):
+    with open(fixture(name)) as fh:
+        doc = json.load(fh)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["validate", "--input", path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_config_file_merges_defaults(capsys, tmp_path):

@@ -32,11 +32,8 @@ def test_mat_mul_composes_rows_as_source():
     assert gf2.mat_mul(a, b) == [0b10, 0b01]
 
 
-def test_identity_and_add():
+def test_identity():
     assert gf2.identity(3) == [1, 2, 4]
-    assert gf2.mat_add([0b01, 0b10], [0b11, 0b10]) == [0b10, 0b00]
-    with pytest.raises(ValueError):
-        gf2.mat_add([1], [1, 2])
 
 
 @given(matrices)

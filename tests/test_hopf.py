@@ -9,11 +9,12 @@ comultiplication must not be.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from motalg import acceptance
+from motalg import acceptance, gf2
 from motalg.hopf import (
     ComoduleData,
     GradedMap,
@@ -26,7 +27,6 @@ from motalg.hopf import (
     TensorSpace,
     Violation,
     build,
-    compose,
     cor22_pipeline,
     identity_map,
     io,
@@ -91,11 +91,9 @@ def test_graded_map_guards():
     assert f.rows[1] == [0]
 
 
-def test_compose_and_identity():
+def test_identity_and_zero_maps():
     sp = GradedSpace("X", {1: ("x", "y")}, 2)
-    f = GradedMap("f", sp, sp, {1: [0b11, 0b10]})
-    assert compose("ff", f, f).rows[1] == [0b01, 0b10]
-    assert compose("idf", identity_map(sp), f).rows == f.rows
+    assert identity_map(sp).rows[1] == [0b01, 0b10]
     assert zero_map("z", sp, sp).rows[1] == [0, 0]
 
 
@@ -125,6 +123,21 @@ def test_planted_comodule_is_valid():
     C = build.square_zero_algebra("c", {2: 1, 3: 2}, 8)
     Mc, _ = build.planted_comodule(C, H)
     assert validate_comodule(Mc) == []
+
+
+def test_comodule_validation_checks_associativity_of_m():
+    # a * a = b in M but not in A: M stays unital, yet
+    # (a * a) * c2 = c2|b while a * (a * c2) = c2|a*a = 0.
+    H = lambda_two(6)
+    C = build.square_zero_algebra("c", {2: 1, 3: 2}, 6)
+    Mc, _ = build.planted_comodule(C, H)
+    k = Mc.MM.pairs(2).index((1, 0, 1, 0))
+    bad = dataclasses.replace(
+        Mc, mult=flipped(Mc.mult, 2, k, Mc.M.labels(2).index("1|b")))
+    violations = validate_comodule(bad)
+    axioms = {v.axiom for v in violations}
+    assert not axioms & {"left_unit", "right_unit"}
+    assert Violation("associativity", 4, "1|a(x)1|a(x)c2_0|1") in violations
 
 
 def test_violation_rendering():
@@ -235,8 +248,9 @@ def test_planted_recovery_and_the_splitting_laws():
     assert all(c.invertible for c in mm.certificate)
 
     # alpha splits the inclusion: alpha o incl = id on V.
-    back = compose("ai", mm.inclusion, mm.alpha)
-    assert back.rows == identity_map(mm.V).rows
+    for d in mm.V.degrees():
+        back = gf2.mat_mul(mm.inclusion.rows[d], mm.alpha.rows[d])
+        assert back == identity_map(mm.V).rows[d]
 
     # Projecting theta onto the degree-0 block of the right factor
     # recovers alpha.
@@ -435,3 +449,86 @@ def test_notsurj_fixture_fails_surjectivity_in_degree_one():
     with pytest.raises(NotSurjective) as exc:
         mm_split(io.comodule_from_file(sf), io.phi_from_file(sf))
     assert exc.value.degree == 1
+
+
+# ---------------------------------------------------------------------------
+# golden digests: every single-bit mutation of small instances
+
+def _single_bit_flips(m: GradedMap):
+    for d, rows in m.rows.items():
+        for i in range(len(rows)):
+            for bit in range(m.target.dim(d)):
+                yield (m.name, d, i, bit), flipped(m, d, i, bit)
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except Exception as exc:  # the exception is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _validator_lines():
+    """(case, repr of the Violation list) for every single-bit mutation of
+    the Hopf algebra, its planted comodule and the exterior algebroid."""
+    H = lambda_two(6)
+    for field in ("unit", "counit", "mult", "comult"):
+        for case, m in _single_bit_flips(getattr(H, field)):
+            yield ("hopf", *case), _outcome(
+                lambda: validate_hopf(hopf_with(H, **{field: m})))
+
+    C = build.square_zero_algebra("c", {2: 1, 3: 2}, 6)
+    Mc, _ = build.planted_comodule(C, H)
+    for field in ("unit", "mult", "coaction"):
+        for case, m in _single_bit_flips(getattr(Mc, field)):
+            mutated = dataclasses.replace(Mc, **{field: m})
+            violations = validate_comodule(mutated)
+            if field == "mult":
+                # Left out of the digest, which was frozen before
+                # validate_comodule checked M's associativity.
+                violations = [v for v in violations
+                              if v.axiom != "associativity"]
+            yield ("comodule", *case), repr(violations)
+
+    alg = build.exterior_algebroid(4)
+    for field in ("eta_l", "eta_r", "comult", "counit", "antipode"):
+        for case, m in _single_bit_flips(getattr(alg, field)):
+            yield ("algebroid", field, *case), _outcome(
+                lambda: validate_algebroid(
+                    dataclasses.replace(alg, **{field: m})))
+
+
+def _cor22_lines():
+    """(case, outcome) of cor22_pipeline for every single-bit mutation of
+    the exterior input's eta_m, psi and phi."""
+    inp = build.cor22_exterior(4)
+    for field in ("eta_m", "psi", "phi"):
+        for case, m in _single_bit_flips(getattr(inp, field)):
+            yield (field, *case), _outcome(
+                lambda: cor22_pipeline(
+                    dataclasses.replace(inp, **{field: m})).hypotheses)
+
+
+def _digest(lines) -> tuple[int, str]:
+    h = hashlib.sha256()
+    n = 0
+    for case, outcome in lines:
+        h.update(f"{case} {outcome}\n".encode())
+        n += 1
+    return n, h.hexdigest()
+
+
+# Computed before the validators shared their axiom checkers.
+VALIDATOR_CASES, VALIDATOR_DIGEST = (
+    506, "cca3eb9fba1bf1f3930b3860fc80193f222c821f781b9183ec5633cb12898e16")
+COR22_CASES, COR22_DIGEST = (
+    57, "b81e59985b736257e81d98a17255abda774905053b5674f77a3c4e3cd7ac4ccd")
+
+
+def test_validator_outputs_on_every_single_bit_mutation_are_frozen():
+    assert _digest(_validator_lines()) == (
+        VALIDATOR_CASES, VALIDATOR_DIGEST)
+
+
+def test_cor22_outcomes_on_every_single_bit_mutation_are_frozen():
+    assert _digest(_cor22_lines()) == (COR22_CASES, COR22_DIGEST)

@@ -98,8 +98,8 @@ def test_lattice_member_witness_and_misses():
     rows = [[2, 0], [0, 3]]
     assert lattice.lattice_member(rows, [4, -3]) == [2, -1]
     assert lattice.lattice_member(rows, [1, 0]) is None
-    assert lattice.lattice_contains(rows, [2, 3])
-    assert not lattice.lattice_contains(rows, [0, 1])
+    assert lattice.lattice_member(rows, [2, 3]) == [1, 1]
+    assert lattice.lattice_member(rows, [0, 1]) is None
     # The zero lattice contains only zero.
     assert lattice.lattice_member([], [0, 0]) == []
     assert lattice.lattice_member([], [1]) is None

@@ -23,7 +23,6 @@ from motalg.nsym import (
     load_generator_series,
     nsym_series,
     series_multiply,
-    sylow_tower,
     vanishing_certificate,
 )
 
@@ -49,16 +48,6 @@ def test_binary_split_certificates():
 def test_binary_split_rejects_small():
     with pytest.raises(InvalidInput):
         binary_split(1)
-
-
-def test_sylow_tower_is_bit_decomposition():
-    assert sylow_tower(1) == [0]
-    assert sylow_tower(6) == [2, 1]
-    assert sylow_tower(13) == [3, 2, 0]
-    for i in range(1, 100):
-        assert sum(1 << n for n in sylow_tower(i)) == i
-    with pytest.raises(InvalidInput):
-        sylow_tower(0)
 
 
 def test_iterated_bound_frozen_for_two_steps():
