@@ -253,7 +253,7 @@ def check_cor22() -> tuple[bool, str]:
         if rep.N != 10 or not all(c.invertible for c in rep.certificate):
             return False, f"{name}: iso not certified to N = 10"
     R, gens, gamma, eta_l, eta_r = build.right_unit_fixture(False, 4)
-    ru = right_unit_descends(R, gens, gamma, eta_l, eta_r, 4)
+    ru = right_unit_descends(R, gens, gamma, eta_l, eta_r)
     if ru.ok or ru.first_failure != 2:
         return False, f"counterexample failed at {ru.first_failure}, expected 2"
     return True, (

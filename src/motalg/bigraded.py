@@ -301,18 +301,6 @@ class TateSum:
         return f"TateSum({{{body}}}, trunc={self.trunc})"
 
 
-def tensor(a: TateSum, b: TateSum) -> TateSum:
-    return a.tensor(b)
-
-
-def shift(a: TateSum, d) -> TateSum:
-    return a.shift(d)
-
-
-def series(a: TateSum, g) -> dict[int, int]:
-    return a.series(g)
-
-
 class VanishingReport(NamedTuple):
     ok: bool
     min_star: int | None

@@ -44,7 +44,10 @@ from .hopf.io import (
     algebroid_from_file,
     comodule_from_file,
     cor22_from_file,
+    degree_key,
+    expect_json,
     hopf_from_file,
+    is_json_int,
     load_file,
     phi_from_file,
     right_unit_from_file,
@@ -60,6 +63,8 @@ from .nsym import (
 )
 
 OK, FAIL, USAGE = 0, 1, 2
+
+FORMATS = ("table", "json")
 
 VERIFY_ERRORS = (
     SMembershipViolation,
@@ -80,7 +85,6 @@ INPUT_ERRORS = (InvalidInput, OutOfFormulaRange, ValueError, KeyError)
 class RunConfig:
     slope: str = "2/3"
     max_shift: int = 24
-    trunc: int = 12
     coeffs: str = "field_closed"
     dual_steenrod: str | None = None
     format: str = "table"
@@ -131,33 +135,68 @@ def _emit_product_sum_json(E) -> None:
     write(f'\n ],\n "trunc": {E.trunc}\n}}\n')
 
 
-def _load(path: str):
+def _json_file(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read(path: str, what: str, load):
+    """load(path), or None after saying on stderr why the file cannot be
+    used: it cannot be read, is not JSON, or is not a well-formed `what`
+    file (load raised ValueError, KeyError or MalformedStructure)."""
     try:
-        return load_file(path)
+        return load(path)
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON in {path}: {exc.msg} at line "
             f"{exc.lineno} column {exc.colno}",
             file=sys.stderr,
         )
-        return None
     except (ValueError, KeyError, MalformedStructure) as exc:
-        print(f"error: bad structure file {path}: {exc}", file=sys.stderr)
-        return None
+        print(f"error: bad {what} file {path}: {exc}", file=sys.stderr)
+    return None
 
 
-def _check_trunc(sf, args) -> bool:
-    if args.trunc is not None and args.trunc != sf.trunc:
+def _series_file(path: str) -> dict[int, int]:
+    """{"series": {"<degree>": coefficient}} with integer coefficients."""
+    doc = expect_json(_json_file(path), dict, "series file")
+    series = {}
+    for key, c in expect_json(doc["series"], dict, "'series'").items():
+        d = degree_key(key)
+        if d is None or not is_json_int(c):
+            raise ValueError(f"entry {key!r}: {c!r} is not a degree and an integer")
+        series[d] = c
+    return series
+
+
+def _generator_file(path: str) -> dict:
+    """{"generators": [{"name", "p", "w"[, "square_zero"]}, ...]} with a
+    string name, integer p and w, and a boolean square_zero."""
+    doc = expect_json(_json_file(path), dict, "generator file")
+    for gen in expect_json(doc.get("generators"), list, "'generators'"):
+        gen = expect_json(gen, dict, "generator")
+        if not (isinstance(gen.get("name"), str) and is_json_int(gen.get("p"))
+                and is_json_int(gen.get("w"))
+                and type(gen.get("square_zero", False)) is bool):
+            raise ValueError(f"generator {gen!r} needs a string name, integer "
+                             "p and w, and a boolean square_zero")
+    return doc
+
+
+def _structure_file(args):
+    """The structure file args.input, or None after saying on stderr why it
+    cannot be used or does not have the truncation --trunc expects."""
+    sf = _read(args.input, "structure", load_file)
+    if sf is not None and args.trunc is not None and args.trunc != sf.trunc:
         print(
             f"error: --trunc {args.trunc} does not match fixture truncation "
             f"{sf.trunc}",
             file=sys.stderr,
         )
-        return False
-    return True
+        return None
+    return sf
 
 
 # ---------------------------------------------------------------------------
@@ -260,48 +299,19 @@ def cmd_vanish(args) -> int:
     return OK if ok else FAIL
 
 
-def _read_series(path: str) -> dict[int, int] | None:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        return {int(d): int(c) for d, c in doc["series"].items()}
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON in {path}: {exc.msg} at line "
-            f"{exc.lineno} column {exc.colno}",
-            file=sys.stderr,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"error: bad series file {path}: {exc}", file=sys.stderr)
-    return None
-
-
 def cmd_divide(args) -> int:
     gen_path = args.dual_steenrod or acceptance.fixture_path("dual_steenrod.json")
-    try:
-        with open(gen_path) as fh:
-            gens = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read {gen_path}: {exc}", file=sys.stderr)
-        return USAGE
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON in {gen_path}: {exc.msg} at line "
-            f"{exc.lineno} column {exc.colno}",
-            file=sys.stderr,
-        )
+    gens = _read(gen_path, "generator", _generator_file)
+    if gens is None:
         return USAGE
     bound = args.max_shift
     abar = load_generator_series(gens, args.slope, bound)
     if args.numerator is None:
         mbar = dict(abar)
     else:
-        loaded = _read_series(args.numerator)
-        if loaded is None:
+        mbar = _read(args.numerator, "series", _series_file)
+        if mbar is None:
             return USAGE
-        mbar = loaded
     try:
         v = cofree_divide(mbar, abar, bound)
     except NegativeCoefficient as exc:
@@ -328,10 +338,8 @@ def _print_violations(violations) -> None:
 
 
 def cmd_validate(args) -> int:
-    sf = _load(args.input)
+    sf = _structure_file(args)
     if sf is None:
-        return USAGE
-    if not _check_trunc(sf, args):
         return USAGE
     names = set(sf.spaces)
     if "BG" in names:
@@ -345,7 +353,7 @@ def cmd_validate(args) -> int:
             kind = "comodule"
             violations += validate_comodule(comodule_from_file(sf))
     elif "RP" in names:
-        rep = right_unit_descends(*right_unit_from_file(sf), sf.trunc)
+        rep = right_unit_descends(*right_unit_from_file(sf))
         if args.format == "json":
             _emit_json({"kind": "right_unit", "report": rep.to_dict()})
         else:
@@ -378,10 +386,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_primitives(args) -> int:
-    sf = _load(args.input)
+    sf = _structure_file(args)
     if sf is None:
-        return USAGE
-    if not _check_trunc(sf, args):
         return USAGE
     Mc = comodule_from_file(sf)
     prim = primitives(Mc)
@@ -405,10 +411,8 @@ def cmd_primitives(args) -> int:
 
 
 def cmd_mm_split(args) -> int:
-    sf = _load(args.input)
+    sf = _structure_file(args)
     if sf is None:
-        return USAGE
-    if not _check_trunc(sf, args):
         return USAGE
     mm = mm_split(comodule_from_file(sf), phi_from_file(sf))
     if args.format == "json":
@@ -430,10 +434,8 @@ def cmd_mm_split(args) -> int:
 
 
 def cmd_cor22(args) -> int:
-    sf = _load(args.input)
+    sf = _structure_file(args)
     if sf is None:
-        return USAGE
-    if not _check_trunc(sf, args):
         return USAGE
     rep = cor22_pipeline(cor22_from_file(sf))
     if args.format == "json":
@@ -593,8 +595,7 @@ def _build_parser(cfg: RunConfig) -> argparse.ArgumentParser:
             p.add_argument("--max-shift", type=_non_negative, default=str(shift),
                            help="shift truncation (default %(default)s)")
         if fmt:
-            p.add_argument("--format", choices=("table", "json"),
-                           default=cfg.format)
+            p.add_argument("--format", choices=FORMATS, default=cfg.format)
 
     p = sub.add_parser("d2", help="quadratic power of one cell")
     p.add_argument("--p", type=int, required=True)
@@ -696,17 +697,34 @@ def _build_parser(cfg: RunConfig) -> argparse.ArgumentParser:
     return top
 
 
+def _config_value(key: str, value):
+    """A config file's value for key, held to the check of its flag.  The
+    parser runs the type checks of --slope and --max-shift on their
+    defaults, so here a value needs only its JSON type and, for a flag with
+    choices, to be one of them."""
+    kind, kind_name = (int, "integer") if key == "max_shift" else (str, "string")
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be a JSON {kind_name}, got {value!r}")
+    choices = {"coeffs": COEFFICIENT_MODELS, "format": FORMATS}.get(key, ())
+    if choices and value not in choices:
+        raise ValueError(f"{key} must be one of {', '.join(sorted(choices))}, "
+                         f"got {value!r}")
+    return value
+
+
 def _load_config(argv: list[str]) -> RunConfig:
+    """Defaults from the file after --config; keys other than the fields of
+    RunConfig are ignored."""
     cfg = RunConfig()
     if "--config" in argv:
         idx = argv.index("--config")
         if idx + 1 < len(argv):
-            with open(argv[idx + 1]) as fh:
-                doc = json.load(fh)
-            for key in ("slope", "max_shift", "trunc", "coeffs",
-                        "dual_steenrod", "format"):
+            doc = _json_file(argv[idx + 1])
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected a JSON object, got {doc!r}")
+            for key in ("slope", "max_shift", "coeffs", "dual_steenrod", "format"):
                 if key in doc:
-                    setattr(cfg, key, doc[key])
+                    setattr(cfg, key, _config_value(key, doc[key]))
     return cfg
 
 
@@ -715,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         cfg = _load_config(list(argv))
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: bad config file: {exc}", file=sys.stderr)
         return USAGE
     parser = _build_parser(cfg)

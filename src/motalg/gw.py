@@ -350,14 +350,12 @@ class WhiteheadReport(NamedTuple):
         }
 
 
-def whitehead_check(mode: str = "symbolic") -> WhiteheadReport:
+def whitehead_check() -> WhiteheadReport:
     """Multiply the four displayed elementary matrices exactly and compare
     with diag(a^-1, a); also certify unit determinants and that the a = 1
     specialization of the product is the identity.  (The individual factors
     with entries 1/a and -1 stay unipotent at a = 1; only the product
     collapses.)"""
-    if mode != "symbolic":
-        raise ValueError(f"unknown mode {mode!r}")
     a = LaurentPoly.monomial(1)
     a_inv = LaurentPoly.monomial(-1)
     one = LaurentPoly.const(1)

@@ -36,6 +36,7 @@ from .core import (
     _walk,
     algebra_map_violations,
     k_space,
+    least_N,
     mm_split,
     validate_algebra,
     validate_comodule,
@@ -61,12 +62,10 @@ class IsoFailed(Exception):
 Element = tuple[int, int]  # (degree, vector)
 
 
-def ideal_spans(
-    R: GradedAlgebra, gens: list[Element], N: int | None = None
-) -> dict[int, list[int]]:
+def ideal_spans(R: GradedAlgebra, gens: list[Element]) -> dict[int, list[int]]:
     """Per-degree spanning vectors of the two-sided ideal generated by gens
     (R is validated commutative elsewhere, so one-sided products suffice)."""
-    N = R.N if N is None else min(N, R.N)
+    N = R.N
     spans: dict[int, list[int]] = {d: [] for d in range(0, N + 1)}
     for dg, gv in gens:
         if gv == 0:
@@ -109,12 +108,11 @@ def right_unit_descends(
     gamma: GradedAlgebra,
     eta_l: GradedMap,
     eta_r: GradedMap,
-    N: int | None = None,
 ) -> RightUnitReport:
     """Compare the spans eta_l(I)*Gamma and Gamma*eta_r(I) degree by degree,
     where I is the ideal of R generated by gens."""
-    N = min(R.N, gamma.N) if N is None else N
-    ideal = ideal_spans(R, gens, N)
+    N = least_N(R, gamma, eta_l, eta_r)
+    ideal = ideal_spans(R, gens)
     table = []
     first = None
     for d in range(0, N + 1):
@@ -152,7 +150,7 @@ class Witnesses:
 
     Provides the quotient basis mod R_+ (the witnesses themselves), the
     projection to it, and the decomposition of any vector as a sum of
-    terms (witness, R basis vector).
+    terms (witness, R basis vector), up to the least N of R and space.
     """
 
     def __init__(
@@ -162,7 +160,6 @@ class Witnesses:
         space: GradedSpace,
         witnesses: list[tuple[int, str, int]],  # (degree, label, vector)
         action: Callable[[int, int, int, int], int],  # (dr, ri, dw, wvec)
-        N: int,
     ):
         if R.space.dim(0) != 1 or R.unit_vec != 1:
             raise InvalidStructure(
@@ -172,7 +169,7 @@ class Witnesses:
         self.R = R
         self.space = space
         self.witnesses = list(witnesses)
-        self.N = N
+        self.N = N = least_N(R, space)
         bar_basis: dict[int, list[str]] = {}
         self.bar_pos: dict[int, tuple[int, int]] = {}
         for g, (dw, label, _) in enumerate(self.witnesses):
@@ -226,7 +223,8 @@ class Witnesses:
 
 @dataclass
 class AlgebroidData:
-    """The pair (R, Gamma) with both units, by structure constants up to N.
+    """The pair (R, Gamma) with both units, by structure constants up to
+    the least N of its parts.
 
     The comultiplication lands in the free presentation: Gamma is free as a
     right R-module on gamma_witnesses, and comult maps Gamma into
@@ -241,7 +239,10 @@ class AlgebroidData:
     comult: GradedMap
     counit: GradedMap           # Gamma -> R
     antipode: GradedMap | None
-    N: int
+
+    def __post_init__(self):
+        maps = (self.eta_l, self.eta_r, self.comult, self.counit, self.antipode)
+        self.N = least_N(self.R, self.gamma, *(m for m in maps if m is not None))
 
     def left_witnesses(self) -> Witnesses:
         return Witnesses(
@@ -249,7 +250,6 @@ class AlgebroidData:
             lambda dr, ri, dw, wv: self.gamma.mult_apply(
                 dr, self.eta_l.row(dr, ri), dw, wv
             ),
-            self.N,
         )
 
     def right_witnesses(self) -> Witnesses:
@@ -258,32 +258,31 @@ class AlgebroidData:
             lambda dr, ri, dw, wv: self.gamma.mult_apply(
                 dw, wv, dr, self.eta_r.row(dr, ri)
             ),
-            self.N,
         )
 
 
-def validate_algebroid(alg: AlgebroidData, N: int | None = None) -> list[Violation]:
+def validate_algebroid(alg: AlgebroidData) -> list[Violation]:
     """Checkable shadow of the axioms for the pair (R, Gamma): algebra
     axioms with commutativity, both units algebra maps, augmentation with
     quotient the ground field, freeness on the witnesses, counit laws and
     coassociativity in the free presentation, and the antipode conditions
     on the units when an antipode is supplied."""
-    N = alg.N if N is None else min(N, alg.N)
+    N = alg.N
     out: list[Violation] = []
     R, G = alg.R, alg.gamma
 
     if R.space.dim(0) != 1 or R.unit_vec != 1:
         out.append(Violation("base_connected", 0, f"dim R_0 = {R.space.dim(0)}"))
         return out
-    out += validate_algebra(R, N, commutative=True)
-    out += validate_algebra(G, N, commutative=True)
-    out += algebra_map_violations(alg.eta_l, R, G, N)
-    out += algebra_map_violations(alg.eta_r, R, G, N)
+    out += validate_algebra(R, commutative=True)
+    out += validate_algebra(G, commutative=True)
+    out += algebra_map_violations(alg.eta_l, R, G)
+    out += algebra_map_violations(alg.eta_r, R, G)
 
     for dg, gv in alg.r_plus:
         if dg <= 0 and gv:
             out.append(Violation("r_plus_proper", dg, "generator in degree <= 0"))
-    ideal = ideal_spans(R, alg.r_plus, N)
+    ideal = ideal_spans(R, alg.r_plus)
     for d in range(1, N + 1):
         if gf2.rank(ideal[d]) != R.space.dim(d):
             out.append(
@@ -408,7 +407,8 @@ def _free_coassociativity(
 @dataclass
 class Cor22Input:
     """A comodule algebra M over the pair (R, Gamma), with its coaction in
-    the free presentation psi: M -> TensorSpace(witness space of M, Gamma)."""
+    the free presentation psi: M -> TensorSpace(witness space of M, Gamma),
+    truncated at the least N of its parts."""
 
     alg: AlgebroidData
     m: GradedAlgebra
@@ -416,7 +416,9 @@ class Cor22Input:
     m_witnesses: list[tuple[int, str, int]]
     psi: GradedMap
     phi: GradedMap                 # m -> gamma
-    N: int
+
+    def __post_init__(self):
+        self.N = least_N(self.alg, self.m, self.eta_m, self.psi, self.phi)
 
     def m_witness_data(self) -> Witnesses:
         return Witnesses(
@@ -424,7 +426,6 @@ class Cor22Input:
             lambda dr, ri, dw, wv: self.m.mult_apply(
                 dr, self.eta_m.row(dr, ri), dw, wv
             ),
-            self.N,
         )
 
 
@@ -436,7 +437,11 @@ class Cor22Report(NamedTuple):
     mm: MMSplit
     theta: GradedMap               # M -> V (x) Gamma
     certificate: tuple[DegreeCertificate, ...]
-    N: int
+
+    @property
+    def N(self) -> int:
+        """The degree up to which the isomorphism is certified."""
+        return self.theta.N
 
     def to_dict(self) -> dict:
         return {
@@ -459,13 +464,13 @@ class Cor22Report(NamedTuple):
 
 
 def _comodule_structure_violations(inp: Cor22Input, wm: Witnesses,
-                                   wg_right: Witnesses, N: int) -> list[Violation]:
+                                   wg_right: Witnesses) -> list[Violation]:
     """Coaction and phi compatibilities over R, in the free presentation."""
     alg, M, G, psi = inp.alg, inp.m, inp.alg.gamma, inp.psi
     out: list[Violation] = []
-    out += validate_algebra(M, N)
-    out += algebra_map_violations(inp.eta_m, alg.R, M, N)
-    out += algebra_map_violations(inp.phi, M, G, N)
+    out += validate_algebra(M)
+    out += algebra_map_violations(inp.eta_m, alg.R, M)
+    out += algebra_map_violations(inp.phi, M, G)
 
     BMG = TensorSpace(wm.bar, G.space)
     BGG = TensorSpace(wg_right.bar, G.space)
@@ -500,7 +505,7 @@ def _comodule_structure_violations(inp: Cor22Input, wm: Witnesses,
         return [Violation("coaction_algebra_map", d,
                           _pair_label(M.space, da, ia, db, jb))]
 
-    out += _walk(M.space, M.SS, N, [
+    out += _walk(M.space, M.SS, inp.N, [
         _free_counit(alg, M, psi, wm, BMG, inp.eta_m, None, "coaction_counital"),
         _free_coassociativity(alg, M, psi, wm, BMG, wg_right,
                               "coaction_coassociative"),
@@ -509,20 +514,20 @@ def _comodule_structure_violations(inp: Cor22Input, wm: Witnesses,
     return _dedup(out)
 
 
-def cor22_pipeline(inp: Cor22Input, N: int | None = None) -> Cor22Report:
+def cor22_pipeline(inp: Cor22Input) -> Cor22Report:
     """Hypothesis checks, reduction mod R_+, field-case splitting of the
     reductions, and the lifted per-degree isomorphism M -> W (x)_R Gamma
     where W = R (x) V is free on the splitting's primitives."""
-    N = inp.N if N is None else min(N, inp.N)
+    N = inp.N
     alg, M, G = inp.alg, inp.m, inp.alg.gamma
     hypotheses: list[str] = []
 
-    violations = validate_algebroid(alg, N)
+    violations = validate_algebroid(alg)
     if violations:
         raise HypothesisFailed("algebroid_axioms", str(violations[0]))
     hypotheses.append("algebroid_axioms")
 
-    ru = right_unit_descends(alg.R, alg.r_plus, G, alg.eta_l, alg.eta_r, N)
+    ru = right_unit_descends(alg.R, alg.r_plus, G, alg.eta_l, alg.eta_r)
     if not ru.ok:
         raise HypothesisFailed(
             "right_unit_descends", f"first failure in degree {ru.first_failure}"
@@ -545,7 +550,7 @@ def cor22_pipeline(inp: Cor22Input, N: int | None = None) -> Cor22Report:
         raise HypothesisFailed("freeness_m", f"degree {e.degree}")
     hypotheses.append("freeness_witnesses")
 
-    structural = _comodule_structure_violations(inp, wm, wg_right, N)
+    structural = _comodule_structure_violations(inp, wm, wg_right)
     if structural:
         raise HypothesisFailed("comodule_structure", str(structural[0]))
     hypotheses.append("comodule_structure")
@@ -558,8 +563,8 @@ def cor22_pipeline(inp: Cor22Input, N: int | None = None) -> Cor22Report:
     hypotheses.append("connected_reduction")
 
     # Reduce everything mod R_+ to the field case.
-    Hbar = _reduced_hopf(alg, wg, N)
-    Mbar = _reduced_comodule(inp, wm, wg, Hbar, N)
+    Hbar = _reduced_hopf(alg, wg)
+    Mbar = _reduced_comodule(inp, wm, wg, Hbar)
     phibar_rows = {
         d: [
             wg.project(d, inp.phi.apply(d, wm.vector(d, i)))
@@ -569,14 +574,14 @@ def cor22_pipeline(inp: Cor22Input, N: int | None = None) -> Cor22Report:
     }
     phibar = GradedMap("phibar", Mbar.M, Hbar.A, phibar_rows)
 
-    hv = validate_hopf(Hbar, N)
-    cv = validate_comodule(Mbar, N)
+    hv = validate_hopf(Hbar)
+    cv = validate_comodule(Mbar)
     if hv or cv:
         raise HypothesisFailed("reduced_axioms", str((hv + cv)[0]))
     hypotheses.append("reduced_axioms")
 
     try:
-        mm = mm_split(Mbar, phibar, N)
+        mm = mm_split(Mbar, phibar)
     except NotSurjective as e:
         raise HypothesisFailed("phi_surjective_reduced", f"degree {e.degree}")
     except SplitFailed as e:
@@ -606,19 +611,19 @@ def cor22_pipeline(inp: Cor22Input, N: int | None = None) -> Cor22Report:
         (d, lab) for d in V.degrees() for lab in V.labels(d)
     )
     return Cor22Report(
-        v_series, w_gens, tuple(hypotheses), ru, mm, theta,
-        tuple(cert), N,
+        v_series, w_gens, tuple(hypotheses), ru, mm, theta, tuple(cert),
     )
 
 
 def _reduction(
     X: GradedAlgebra, wx: Witnesses, coaction: GradedMap, wg: Witnesses,
-    right, N: int, name: str,
+    right, name: str,
 ):
     """X mod R_+ on the witness basis of wx, as the space `name` with its
     unit, product and coaction: the coaction goes from TensorSpace(BX,
     Gamma) to space (x) right, projecting Gamma onto the witnesses wg;
     right is Gamma mod R_+, or None for the reduced space itself."""
+    N = least_N(wx, coaction, wg)
     bar = GradedSpace(name, {d: wx.bar.labels(d) for d in wx.bar.degrees()}, N)
     SS = TensorSpace(bar, bar)
     mult_rows = {
@@ -648,17 +653,16 @@ def _reduction(
     )
 
 
-def _reduced_hopf(alg: AlgebroidData, wg: Witnesses, N: int) -> HopfData:
+def _reduced_hopf(alg: AlgebroidData, wg: Witnesses) -> HopfData:
     """Gamma mod R_+ Gamma, a connected Hopf algebra on the witness basis."""
     A, unit, mult, comult = _reduction(
-        alg.gamma, wg, alg.comult, wg, None, N, "A")
-    counit = GradedMap("counit_A", A, k_space(N), {0: [1] * A.dim(0)})
-    return HopfData(A, unit, counit, mult, comult, N)
+        alg.gamma, wg, alg.comult, wg, None, "A")
+    counit = GradedMap("counit_A", A, k_space(A.N), {0: [1] * A.dim(0)})
+    return HopfData(A, unit, counit, mult, comult)
 
 
 def _reduced_comodule(
-    inp: Cor22Input, wm: Witnesses, wg: Witnesses, Hbar: HopfData, N: int
+    inp: Cor22Input, wm: Witnesses, wg: Witnesses, Hbar: HopfData
 ) -> ComoduleData:
-    M, unit, mult, psi = _reduction(
-        inp.m, wm, inp.psi, wg, Hbar.A, N, "M")
+    M, unit, mult, psi = _reduction(inp.m, wm, inp.psi, wg, Hbar.A, "M")
     return ComoduleData(M, unit, mult, psi, Hbar)

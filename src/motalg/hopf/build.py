@@ -16,6 +16,7 @@ from .core import (
     InvalidStructure,
     TensorSpace,
     _pairs_of,
+    identity_rows,
     k_space,
 )
 
@@ -85,7 +86,7 @@ def exterior_hopf(gens: list[tuple[str, int]], N: int) -> HopfData:
     counit = GradedMap("counit", A, k, {0: [1]})
     mult = GradedMap("mult", AA, A, mult_rows)
     comult = GradedMap("comult", A, AA, comult_rows)
-    return HopfData(A, unit, counit, mult, comult, N)
+    return HopfData(A, unit, counit, mult, comult)
 
 
 def self_comodule(H: HopfData) -> ComoduleData:
@@ -188,19 +189,22 @@ def planted_comodule(C: GradedSpace, H: HopfData) -> tuple[ComoduleData, GradedM
 # pair of right-unit fixtures (one descending, one failing at deg x + deg y).
 
 
+def _ones_rows(space) -> dict[int, list[int]]:
+    """Rows sending every basis vector of space to the first target basis
+    vector of its degree."""
+    return {d: [1] * space.dim(d) for d in range(0, space.N + 1)}
+
+
 def polynomial_base(N: int, var: str = "t") -> GradedAlgebra:
     """R = F2[t] with |t| = 1, truncated at N."""
     labels = {0: ("1",), **{d: (f"{var}^{d}",) for d in range(1, N + 1)}}
     R = GradedSpace("R", labels, N)
     RR = TensorSpace(R, R)
-    mult_rows = {
-        d: [1 for _ in RR.pairs(d)] for d in range(0, N + 1)
-    }
     k = k_space(N)
     return GradedAlgebra(
         R,
         GradedMap("unit_R", k, R, {0: [1]}),
-        GradedMap("mult_R", RR, R, mult_rows),
+        GradedMap("mult_R", RR, R, _ones_rows(RR)),
     )
 
 
@@ -248,141 +252,87 @@ def _monomial_algebra(name: str, gen: str, N: int) -> GradedAlgebra:
 
 def _base_inclusion(R: GradedAlgebra, target: GradedAlgebra, name: str) -> GradedMap:
     """t^a to the pure power monomial (index 0) in each degree."""
-    rows = {
-        d: [1] * R.space.dim(d) for d in range(0, R.N + 1)
-    }
-    return GradedMap(name, R.space, target.space, rows)
+    return GradedMap(name, R.space, target.space, _ones_rows(R.space))
+
+
+def _witness_basis(name: str, gen: str | None, N: int):
+    """The witnesses 1 and, when gen names it, the generator t^0 x (index 1
+    in degree 1): their space and their (degree, label, vector) list."""
+    witnesses = [(0, "1", 1)] + ([(1, gen, 2)] if gen else [])
+    space = GradedSpace(name, {d: (label,) for d, label, _ in witnesses}, N)
+    return space, witnesses
+
+
+def _coaction_over_R(X: GradedSpace, B: GradedSpace, G: GradedSpace,
+                     name: str) -> GradedMap:
+    """The coaction X -> B (x) G of a space with the basis of
+    _monomial_space (or its pure powers alone) on the witnesses B of
+    _witness_basis: t^d goes to 1 (x) t^d, and t^(d-1) x to
+    x (x) t^(d-1) + 1 (x) t^(d-1) x."""
+    BG = TensorSpace(B, G)
+    rows: dict[int, list[int]] = {}
+    for d in range(0, X.N + 1):
+        rows[d] = [1 << BG.index(d, 0, 0, i) for i in range(X.dim(d))]
+        if X.dim(d) > 1:
+            rows[d][1] ^= 1 << BG.index(d, 1, 0, 0)
+    return GradedMap(name, X, BG, rows)
+
+
+def _algebroid(G: GradedAlgebra, gen: str | None) -> AlgebroidData:
+    """(R, G) over R = F2[t] for G = R or R[x]/(x^2) (gen names x): both
+    units the inclusion of the pure powers, the counit killing x, the
+    antipode the identity, and x primitive over R."""
+    R = polynomial_base(G.N)
+    eta = _base_inclusion(R, G, "eta")
+    BG, witnesses = _witness_basis("BG", gen, G.N)
+    comult = _coaction_over_R(G.space, BG, G.space, "comult_G")
+    counit = GradedMap("counit_G", G.space, R.space,
+                       {d: [1] for d in range(0, G.N + 1)})
+    antipode = GradedMap("antipode", G.space, G.space, identity_rows(G.space))
+    return AlgebroidData(
+        R, [(1, 1)], G, eta, eta, witnesses, comult, counit, antipode
+    )
 
 
 def identity_algebroid(N: int = 10) -> AlgebroidData:
     """(R, R): both units the identity, comultiplication r -> 1 (x) r."""
-    R = polynomial_base(N)
     G = polynomial_base(N)
     G.space.name = "G"
-    eta = GradedMap("eta", R.space, G.space,
-                    {d: [1] * R.space.dim(d) for d in range(0, N + 1)})
-    BG = GradedSpace("BG", {0: ("1",)}, N)
-    BGG = TensorSpace(BG, G.space)
-    comult_rows = {
-        d: [1 << BGG.index(d, 0, 0, j) for j in range(G.space.dim(d))]
-        for d in range(0, N + 1)
-    }
-    comult = GradedMap("comult_G", G.space, BGG, comult_rows)
-    counit = GradedMap("counit_G", G.space, R.space,
-                       {d: [1] * G.space.dim(d) for d in range(0, N + 1)})
-    antipode = GradedMap("antipode", G.space, G.space,
-                         {d: [1 << i for i in range(G.space.dim(d))]
-                          for d in range(0, N + 1)})
-    return AlgebroidData(
-        R, [(1, 1)], G, eta, eta, [(0, "1", 1)], comult, counit, antipode, N
-    )
+    return _algebroid(G, None)
 
 
 def exterior_algebroid(N: int = 10) -> AlgebroidData:
     """(R, R[x]/(x^2)) with eta_l = eta_r and x primitive over R."""
-    R = polynomial_base(N)
-    G = _monomial_algebra("G", "x", N)
-    eta = _base_inclusion(R, G, "eta")
-    BG = GradedSpace("BG", {0: ("1",), 1: ("x",)}, N)
-    BGG = TensorSpace(BG, G.space)
-    comult_rows: dict[int, list[int]] = {}
-    for d in range(0, N + 1):
-        rows = []
-        for i in range(G.space.dim(d)):
-            if i == 0:
-                rows.append(1 << BGG.index(d, 0, 0, 0))
-            else:
-                # t^(d-1) x: splits as x (x) t^(d-1) + 1 (x) t^(d-1) x.
-                out = 1 << BGG.index(d, 1, 0, 0)
-                out ^= 1 << BGG.index(d, 0, 0, 1)
-                rows.append(out)
-        comult_rows[d] = rows
-    comult = GradedMap("comult_G", G.space, BGG, comult_rows)
-    counit_rows = {
-        d: [1] + [0] * (G.space.dim(d) - 1) for d in range(0, N + 1)
-    }
-    counit = GradedMap("counit_G", G.space, R.space, counit_rows)
-    antipode = GradedMap("antipode", G.space, G.space,
-                         {d: [1 << i for i in range(G.space.dim(d))]
-                          for d in range(0, N + 1)})
-    return AlgebroidData(
-        R, [(1, 1)], G, eta, eta,
-        [(0, "1", 1), (1, "x", 2)], comult, counit, antipode, N,
-    )
+    return _algebroid(_monomial_algebra("G", "x", N), "x")
+
+
+def _cor22_input(alg: AlgebroidData, M: GradedAlgebra,
+                 gen: str | None) -> Cor22Input:
+    """M over alg with the coaction _coaction_over_R and phi the identity
+    on basis positions."""
+    eta_m = _base_inclusion(alg.R, M, "eta_M")
+    BM, witnesses = _witness_basis("BM", gen, M.N)
+    psi = _coaction_over_R(M.space, BM, alg.gamma.space, "psi_M")
+    phi = GradedMap("phi", M.space, alg.gamma.space, identity_rows(M.space))
+    return Cor22Input(alg, M, eta_m, witnesses, psi, phi)
 
 
 def cor22_identity(N: int = 10) -> Cor22Input:
     """M = Gamma = R with the tautological coaction; W should be R itself."""
-    alg = identity_algebroid(N)
     M = polynomial_base(N)
     M.space.name = "M"
-    eta_m = GradedMap("eta_M", alg.R.space, M.space,
-                      {d: [1] * alg.R.space.dim(d) for d in range(0, N + 1)})
-    BM = GradedSpace("BM", {0: ("1",)}, N)
-    BMG = TensorSpace(BM, alg.gamma.space)
-    psi_rows = {
-        d: [1 << BMG.index(d, 0, 0, j) for j in range(M.space.dim(d))]
-        for d in range(0, N + 1)
-    }
-    psi = GradedMap("psi_M", M.space, BMG, psi_rows)
-    phi = GradedMap("phi", M.space, alg.gamma.space,
-                    {d: [1] * M.space.dim(d) for d in range(0, N + 1)})
-    return Cor22Input(alg, M, eta_m, [(0, "1", 1)], psi, phi, N)
+    return _cor22_input(identity_algebroid(N), M, None)
 
 
 def cor22_exterior(N: int = 10) -> Cor22Input:
     """M = Gamma = R[x]/(x^2) coacting by its comultiplication, phi = id."""
-    alg = exterior_algebroid(N)
-    M = _monomial_algebra("M", "x", N)
-    eta_m = _base_inclusion(alg.R, M, "eta_M")
-    BM = GradedSpace("BM", {0: ("1",), 1: ("x",)}, N)
-    BMG = TensorSpace(BM, alg.gamma.space)
-    psi_rows: dict[int, list[int]] = {}
-    for d in range(0, N + 1):
-        rows = []
-        for i in range(M.space.dim(d)):
-            if i == 0:
-                rows.append(1 << BMG.index(d, 0, 0, 0))
-            else:
-                out = 1 << BMG.index(d, 1, 0, 0)
-                out ^= 1 << BMG.index(d, 0, 0, 1)
-                rows.append(out)
-        psi_rows[d] = rows
-    psi = GradedMap("psi_M", M.space, BMG, psi_rows)
-    phi = GradedMap("phi", M.space, alg.gamma.space,
-                    {d: [1 << i for i in range(M.space.dim(d))]
-                     for d in range(0, N + 1)})
-    return Cor22Input(
-        alg, M, eta_m, [(0, "1", 1), (1, "x", 2)], psi, phi, N
-    )
+    return _cor22_input(exterior_algebroid(N), _monomial_algebra("M", "x", N), "x")
 
 
 def cor22_rank_two(N: int = 10) -> Cor22Input:
     """M = R + R*m with psi(m) = m (x) 1 + 1 (x) x and phi sending m to x;
     the primitives of the reduction are spanned by 1, so W has rank 1."""
-    alg = exterior_algebroid(N)
-    M = _monomial_algebra("M", "m", N)
-    eta_m = _base_inclusion(alg.R, M, "eta_M")
-    BM = GradedSpace("BM", {0: ("1",), 1: ("m",)}, N)
-    BMG = TensorSpace(BM, alg.gamma.space)
-    psi_rows: dict[int, list[int]] = {}
-    for d in range(0, N + 1):
-        rows = []
-        for i in range(M.space.dim(d)):
-            if i == 0:
-                rows.append(1 << BMG.index(d, 0, 0, 0))
-            else:
-                out = 1 << BMG.index(d, 1, 0, 0)
-                out ^= 1 << BMG.index(d, 0, 0, 1)
-                rows.append(out)
-        psi_rows[d] = rows
-    psi = GradedMap("psi_M", M.space, BMG, psi_rows)
-    phi = GradedMap("phi", M.space, alg.gamma.space,
-                    {d: [1 << i for i in range(M.space.dim(d))]
-                     for d in range(0, N + 1)})
-    return Cor22Input(
-        alg, M, eta_m, [(0, "1", 1), (1, "m", 2)], psi, phi, N
-    )
+    return _cor22_input(exterior_algebroid(N), _monomial_algebra("M", "m", N), "m")
 
 
 def right_unit_fixture(descends: bool, N: int = 4):

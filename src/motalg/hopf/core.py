@@ -2,14 +2,17 @@
 comodule axioms, coaction primitives, and the constructive cofree splitting.
 
 Everything is truncated at a degree bound N and stored by structure
-constants: a map keeps one bitmask row per source basis vector per degree
-(see gf2).  Tensor-product coordinates are enumerated degree by degree in a
-fixed order, so all computations are canonical in the stored basis order.
+constants.  Each space carries its own N, and every object built from
+spaces and maps is truncated at the least N among them, the rule
+GradedMap.N follows.  A map keeps one bitmask row per source basis vector
+per degree (see gf2).  Tensor-product coordinates are enumerated degree by
+degree in a fixed order, so all computations are canonical in the stored
+basis order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .. import gf2
@@ -196,11 +199,18 @@ def zero_map(name: str, source, target) -> GradedMap:
     return GradedMap(name, source, target, {})
 
 
+def least_N(*parts) -> int:
+    """The truncation of an object made of these spaces and maps."""
+    return min(part.N for part in parts)
+
+
+def identity_rows(space) -> dict[int, list[int]]:
+    """Rows sending the i-th basis vector of each degree to the i-th."""
+    return {d: [1 << i for i in range(space.dim(d))] for d in space.degrees()}
+
+
 def identity_map(space: GradedSpace) -> GradedMap:
-    rows = {
-        d: [1 << i for i in range(space.dim(d))] for d in space.degrees()
-    }
-    return GradedMap(f"id_{space.name}", space, space, rows)
+    return GradedMap(f"id_{space.name}", space, space, identity_rows(space))
 
 
 def _bits(vec: int) -> Iterator[int]:
@@ -254,7 +264,7 @@ class GradedAlgebra:
 
     def __post_init__(self):
         self.SS = TensorSpace(self.space, self.space)
-        self.N = self.space.N
+        self.N = least_N(self.unit, self.mult)
 
     @property
     def unit_vec(self) -> int:
@@ -279,13 +289,11 @@ class HopfData:
     counit: GradedMap    # A -> k
     mult: GradedMap      # A(x)A -> A
     comult: GradedMap    # A -> A(x)A
-    N: int = field(default=0)
 
     def __post_init__(self):
-        if self.N == 0:
-            self.N = self.A.N
         self.algebra = GradedAlgebra(self.A, self.unit, self.mult)
         self.AA = self.algebra.SS
+        self.N = least_N(self.algebra, self.counit, self.comult)
 
 
 @dataclass
@@ -298,14 +306,12 @@ class ComoduleData:
     mult: GradedMap      # M(x)M -> M
     coaction: GradedMap  # M -> M(x)A
     hopf: HopfData
-    N: int = field(default=0)
 
     def __post_init__(self):
-        if self.N == 0:
-            self.N = min(self.M.N, self.hopf.N)
         self.algebra = GradedAlgebra(self.M, self.unit, self.mult)
         self.MM = self.algebra.SS
         self.MA = TensorSpace(self.M, self.hopf.A)
+        self.N = least_N(self.algebra, self.coaction, self.hopf)
 
 
 class Violation(NamedTuple):
@@ -492,22 +498,20 @@ def _coaction_multiplicative(
 
 
 def validate_algebra(
-    alg: GradedAlgebra, N: int | None = None, commutative: bool = False
+    alg: GradedAlgebra, commutative: bool = False
 ) -> list[Violation]:
     """Unit laws and associativity, and commutativity when asked for."""
-    N = alg.N if N is None else min(N, alg.N)
     if alg.unit_vec == 0:
         return [Violation("unit", 0, "unit map is zero")]
     pair_checks = [_commutativity(alg)] if commutative else []
-    pair_checks.append(_associativity(alg, N))
-    return _walk(alg.space, alg.SS, N, [_unit_laws(alg)], pair_checks)
+    pair_checks.append(_associativity(alg, alg.N))
+    return _walk(alg.space, alg.SS, alg.N, [_unit_laws(alg)], pair_checks)
 
 
 def algebra_map_violations(
-    f: GradedMap, src: GradedAlgebra, dst: GradedAlgebra, N: int | None = None
+    f: GradedMap, src: GradedAlgebra, dst: GradedAlgebra
 ) -> list[Violation]:
     """f(1) = 1 and f(x * y) = f(x) * f(y)."""
-    N = min(src.N, dst.N) if N is None else N
     out: list[Violation] = []
     if f.apply(0, src.unit_vec) != dst.unit_vec:
         out.append(Violation(f"{f.name}_unital", 0, "f(1) != 1"))
@@ -518,13 +522,13 @@ def algebra_map_violations(
             return []
         return [Violation(f"{f.name}_multiplicative", d,
                           _pair_label(src.space, da, ia, db, jb))]
-    return out + _walk(src.space, src.SS, N, (), [multiplicative])
+    return out + _walk(src.space, src.SS, least_N(f, src, dst), (),
+                       [multiplicative])
 
 
-def validate_hopf(H: HopfData, N: int | None = None) -> list[Violation]:
+def validate_hopf(H: HopfData) -> list[Violation]:
     """Check every Hopf axiom degree by degree; an empty report is valid.
     The comultiplication is checked as A coacting on itself."""
-    N = H.N if N is None else min(N, H.N)
     A, AA, counit = H.A, H.AA, H.counit
     if A.dim(0) != 1:
         return [Violation("connected", 0, f"dim A_0 = {A.dim(0)}")]
@@ -534,35 +538,29 @@ def validate_hopf(H: HopfData, N: int | None = None) -> list[Violation]:
     out: list[Violation] = []
     if counit.apply(0, one) != 1:
         out.append(Violation("counit_splits_unit", 0, "counit(1) != 1"))
-
-    def counit_graded(d, i):
-        if d > 0 and counit.rows[d][i] != 0:
-            return [Violation("counit_graded", d, A.labels(d)[i])]
-        return []
-
-    out += _walk(A, AA, N, [
+    # A nonzero counit row above degree 0 has no target in k, so GradedMap
+    # already refused it as malformed.
+    out += _walk(A, AA, H.N, [
         _unit_laws(H.algebra),
         _counit(A, H.comult, AA, counit, "counit_left", "counit_right"),
-        counit_graded,
         _coassociativity(A, H.comult, AA, H.comult, AA, "coassociativity"),
     ], [
         _coaction_multiplicative(H.algebra, H.comult, AA, H.algebra, "bialgebra"),
-        _associativity(H.algebra, N),
+        _associativity(H.algebra, H.N),
     ])
     return _dedup(out)
 
 
-def validate_comodule(Mc: ComoduleData, N: int | None = None) -> list[Violation]:
+def validate_comodule(Mc: ComoduleData) -> list[Violation]:
     """Comodule-algebra axioms: M is connected, unital and associative, and
     its coaction is counital ((id (x) counit) psi = id), coassociative and
     an algebra map."""
-    N = Mc.N if N is None else min(N, Mc.N)
     M, MA, H = Mc.M, Mc.MA, Mc.hopf
     if M.dim(0) != 1:
         return [Violation("connected", 0, f"dim M_0 = {M.dim(0)}")]
     if Mc.algebra.unit_vec == 0:
         return [Violation("unit", 0, "unit map is zero")]
-    return _dedup(_walk(M, Mc.MM, N, [
+    return _dedup(_walk(M, Mc.MM, Mc.N, [
         _unit_laws(Mc.algebra),
         _counit(M, Mc.coaction, MA, H.counit, None, "coaction_counital"),
         _coassociativity(M, Mc.coaction, MA, H.comult, H.AA,
@@ -570,7 +568,7 @@ def validate_comodule(Mc: ComoduleData, N: int | None = None) -> list[Violation]
     ], [
         _coaction_multiplicative(Mc.algebra, Mc.coaction, MA, H.algebra,
                                  "coaction_algebra_map"),
-        _associativity(Mc.algebra, N),
+        _associativity(Mc.algebra, Mc.N),
     ]))
 
 
@@ -579,10 +577,10 @@ class Primitives(NamedTuple):
     inclusion: GradedMap  # V -> M
 
 
-def primitives(Mc: ComoduleData, N: int | None = None) -> Primitives:
+def primitives(Mc: ComoduleData) -> Primitives:
     """Per degree, the kernel of (coaction - id (x) unit): the elements m
     with psi(m) = m (x) 1, with its canonical inclusion into M."""
-    N = Mc.N if N is None else min(N, Mc.N)
+    N = Mc.N
     M, MA = Mc.M, Mc.MA
     one = Mc.hopf.algebra.unit_vec
     basis: dict[int, list[str]] = {}
@@ -621,9 +619,7 @@ class MMSplit(NamedTuple):
     certificate: tuple[DegreeCertificate, ...]
 
 
-def mm_split(
-    Mc: ComoduleData, phi: GradedMap, N: int | None = None
-) -> MMSplit:
+def mm_split(Mc: ComoduleData, phi: GradedMap) -> MMSplit:
     """Constructive cofree splitting: compute the coaction primitives V,
     choose the canonical splitting alpha: M -> V, and certify that
     theta = (alpha (x) id) psi is a degreewise isomorphism M -> V (x) A.
@@ -631,7 +627,7 @@ def mm_split(
     phi must be a degreewise-surjective map of comodule algebras M -> A;
     surjectivity and both compatibilities are checked first.
     """
-    N = Mc.N if N is None else min(N, Mc.N)
+    N = Mc.N
     M, A, MA = Mc.M, Mc.hopf.A, Mc.MA
     H = Mc.hopf
     if A.dim(0) != 1 or M.dim(0) != 1:
@@ -645,7 +641,7 @@ def mm_split(
             raise NotSurjective(d)
 
     # phi is an algebra map ...
-    bad = algebra_map_violations(phi, Mc.algebra, H.algebra, N)
+    bad = algebra_map_violations(phi, Mc.algebra, H.algebra)
     if bad and bad[0].axiom == f"{phi.name}_unital":
         raise InvalidStructure("phi does not preserve the unit")
     if bad:
@@ -661,7 +657,7 @@ def mm_split(
                     f"phi is not a comodule map in degree {d}"
                 )
 
-    prim = primitives(Mc, N)
+    prim = primitives(Mc)
     V = GradedSpace("V", {d: prim.space.labels(d) for d in prim.space.degrees()}, N)
     incl = GradedMap("incl_V", V, M, dict(prim.inclusion.rows))
 

@@ -34,6 +34,7 @@ from .core import (
     MalformedStructure,
     TensorSpace,
     k_space,
+    least_N,
 )
 
 
@@ -43,38 +44,45 @@ class StructureFile(NamedTuple):
     maps: dict[str, GradedMap]
 
 
-def _is_int(value) -> bool:
+def is_json_int(value) -> bool:
     # json.load gives exactly int for a JSON integer; true/false come back as
     # bool, an int subclass, and numeric strings stay str.
     return type(value) is int
 
 
-def _expect(value, kind: type, what: str):
+def degree_key(text: str) -> int | None:
+    """The degree an object key names, or None.  Object keys are strings in
+    JSON; only the plain decimal form is a degree, so "01" and "1" cannot
+    both name degree 1."""
+    try:
+        d = int(text)
+    except ValueError:
+        return None
+    return d if str(d) == text else None
+
+
+def expect_json(value, kind: type, what: str):
+    """value, if it has the JSON container type kind (dict or list)."""
     if not isinstance(value, kind):
         raise MalformedStructure(f"{what} has the wrong JSON type: {value!r}")
     return value
 
 
 def load_doc(doc: dict) -> StructureFile:
-    _expect(doc, dict, "structure file")
+    expect_json(doc, dict, "structure file")
     N = doc.get("trunc")
-    if not _is_int(N):
+    if not is_json_int(N):
         raise MalformedStructure("missing or malformed 'trunc'")
     spaces: dict[str, GradedSpace] = {"k": k_space(N)}
-    for name, body in _expect(doc.get("spaces", {}), dict, "'spaces'").items():
-        body = _expect(body, dict, f"space {name}")
+    for name, body in expect_json(doc.get("spaces", {}), dict, "'spaces'").items():
+        body = expect_json(body, dict, f"space {name}")
         degrees = {}
-        for dstr, labels in _expect(body.get("degrees", {}), dict,
-                                    f"space {name} degrees").items():
-            # Object keys are strings in JSON.  Only the plain decimal form
-            # is a degree, so "01" and "1" cannot both name degree 1.
-            try:
-                d = int(dstr)
-            except ValueError:
-                d = None
-            if str(d) != dstr:
+        for dstr, labels in expect_json(body.get("degrees", {}), dict,
+                                        f"space {name} degrees").items():
+            d = degree_key(dstr)
+            if d is None:
                 raise MalformedStructure(f"space {name}: degree key {dstr!r}")
-            labels = _expect(labels, list, f"space {name} labels")
+            labels = expect_json(labels, list, f"space {name} labels")
             degrees[d] = [str(x) for x in labels]
         spaces[name] = GradedSpace(name, degrees, N)
 
@@ -88,25 +96,25 @@ def load_doc(doc: dict) -> StructureFile:
         raise MalformedStructure(f"malformed space reference {ref!r}")
 
     maps: dict[str, GradedMap] = {}
-    for name, body in _expect(doc.get("maps", {}), dict, "'maps'").items():
-        body = _expect(body, dict, f"map {name}")
+    for name, body in expect_json(doc.get("maps", {}), dict, "'maps'").items():
+        body = expect_json(body, dict, f"map {name}")
         if "source" not in body or "target" not in body:
             raise MalformedStructure(f"map {name}: needs 'source' and 'target'")
         src = resolve(body["source"])
         dst = resolve(body["target"])
         rows: dict[int, list[int]] = {}
-        for entry in _expect(body.get("entries", []), list,
-                             f"map {name} entries"):
+        for entry in expect_json(body.get("entries", []), list,
+                                 f"map {name} entries"):
             if not isinstance(entry, dict) or not {"deg", "bits"} <= entry.keys():
                 raise MalformedStructure(
                     f"map {name}: entry {entry!r} needs 'deg' and 'bits'")
             d, bits = entry["deg"], entry["bits"]
-            if not (_is_int(d) and 0 <= d <= N):
+            if not (is_json_int(d) and 0 <= d <= N):
                 raise MalformedStructure(
                     f"map {name}: entry degree {d!r} is not an integer in 0..{N}")
             if d in rows:
                 raise MalformedStructure(f"map {name}: two entries for degree {d}")
-            if not (isinstance(bits, list) and all(map(_is_int, bits))):
+            if not (isinstance(bits, list) and all(map(is_json_int, bits))):
                 raise MalformedStructure(
                     f"map {name}: rows in degree {d} must be JSON integers")
             rows[d] = bits
@@ -125,8 +133,10 @@ def _space_ref(space) -> object:
     return space.name
 
 
-def dump_doc(trunc: int, spaces: dict[str, GradedSpace],
+def dump_doc(spaces: dict[str, GradedSpace],
              maps: dict[str, GradedMap]) -> dict:
+    """The document of these spaces and maps, truncated at their least N."""
+    trunc = least_N(*spaces.values(), *maps.values())
     doc: dict = {"trunc": trunc, "spaces": {}, "maps": {}}
     for name, sp in sorted(spaces.items()):
         if name == "k":
@@ -163,7 +173,7 @@ def hopf_from_file(sf: StructureFile) -> HopfData:
     unit, counit, mult, comult = _require(
         sf, "unit_A", "counit_A", "mult_A", "comult_A"
     )
-    return HopfData(sf.spaces["A"], unit, counit, mult, comult, sf.trunc)
+    return HopfData(sf.spaces["A"], unit, counit, mult, comult)
 
 
 def comodule_from_file(sf: StructureFile) -> ComoduleData:
@@ -221,7 +231,7 @@ def algebroid_from_file(sf: StructureFile) -> AlgebroidData:
     antipode = sf.maps.get("antipode")
     return AlgebroidData(
         R, _gens_from(sf, "rplus"), gamma, eta_l, eta_r,
-        _witnesses_from(sf, "BG", "bg"), comult, counit, antipode, sf.trunc,
+        _witnesses_from(sf, "BG", "bg"), comult, counit, antipode,
     )
 
 
@@ -229,79 +239,70 @@ def cor22_from_file(sf: StructureFile) -> Cor22Input:
     alg = algebroid_from_file(sf)
     m = algebra_from_file(sf, "M")
     eta_m, psi, phi = _require(sf, "eta_M", "psi_M", "phi")
-    return Cor22Input(
-        alg, m, eta_m, _witnesses_from(sf, "BM", "bm"), psi, phi, sf.trunc
-    )
+    return Cor22Input(alg, m, eta_m, _witnesses_from(sf, "BM", "bm"), psi, phi)
 
 
 # --------------------------------------------------------------------------
 # Serializers matching the assemblers above.
 
-def hopf_to_doc(H: HopfData) -> dict:
+def _hopf_parts(H: HopfData):
     spaces = {"A": H.A}
     maps = {
         "unit_A": H.unit, "counit_A": H.counit,
         "mult_A": H.mult, "comult_A": H.comult,
     }
-    return dump_doc(H.N, spaces, maps)
+    return spaces, maps
+
+
+def hopf_to_doc(H: HopfData) -> dict:
+    return dump_doc(*_hopf_parts(H))
 
 
 def comodule_to_doc(Mc: ComoduleData, phi: GradedMap | None = None) -> dict:
-    H = Mc.hopf
-    spaces = {"A": H.A, "M": Mc.M}
-    maps = {
-        "unit_A": H.unit, "counit_A": H.counit,
-        "mult_A": H.mult, "comult_A": H.comult,
-        "unit_M": Mc.unit, "mult_M": Mc.mult, "psi_M": Mc.coaction,
-    }
+    spaces, maps = _hopf_parts(Mc.hopf)
+    spaces["M"] = Mc.M
+    maps.update(unit_M=Mc.unit, mult_M=Mc.mult, psi_M=Mc.coaction)
     if phi is not None:
         maps["phi"] = phi
-    return dump_doc(Mc.N, spaces, maps)
+    return dump_doc(spaces, maps)
 
 
-def _witness_space_and_map(name, incl_name, witnesses, target, N):
+def _witness_space_and_map(name, incl_name, witnesses, target):
     degrees: dict[int, list[str]] = {}
-    for d, label, _ in witnesses:
-        degrees.setdefault(d, []).append(label)
-    bar = GradedSpace(name, degrees, N)
     rows: dict[int, list[int]] = {}
     for d, label, vec in witnesses:
+        degrees.setdefault(d, []).append(label)
         rows.setdefault(d, []).append(vec)
+    bar = GradedSpace(name, degrees, target.N)
     return bar, GradedMap(incl_name, bar, target, rows)
 
 
-def _gens_space_and_map(name, incl_name, gens, target, N):
-    degrees: dict[int, list[str]] = {}
-    rows: dict[int, list[int]] = {}
-    for j, (d, vec) in enumerate(gens):
-        degrees.setdefault(d, []).append(f"g{j}")
-        rows.setdefault(d, []).append(vec)
-    sp = GradedSpace(name, degrees, N)
-    return sp, GradedMap(incl_name, sp, target, rows)
+def _gens_space_and_map(gens, R: GradedAlgebra):
+    """The generators of R_+ as the space RP, labelled g0, g1, ..., with
+    their inclusion rplus."""
+    witnesses = [(d, f"g{j}", vec) for j, (d, vec) in enumerate(gens)]
+    return _witness_space_and_map("RP", "rplus", witnesses, R.space)
 
 
 def right_unit_to_doc(R: GradedAlgebra, gens, gamma: GradedAlgebra,
-                      eta_l: GradedMap, eta_r: GradedMap, N: int) -> dict:
-    RP, rplus = _gens_space_and_map("RP", "rplus", gens, R.space, N)
+                      eta_l: GradedMap, eta_r: GradedMap) -> dict:
+    RP, rplus = _gens_space_and_map(gens, R)
     spaces = {"R": R.space, "G": gamma.space, "RP": RP}
     maps = {
         "unit_R": R.unit, "mult_R": R.mult,
         "unit_G": gamma.unit, "mult_G": gamma.mult,
         "eta_l": eta_l, "eta_r": eta_r, "rplus": rplus,
     }
-    return dump_doc(N, spaces, maps)
+    return dump_doc(spaces, maps)
 
 
 def cor22_to_doc(inp: Cor22Input) -> dict:
     alg = inp.alg
-    N = inp.N
-    RP, rplus = _gens_space_and_map("RP", "rplus", alg.r_plus, alg.R.space, N)
+    RP, rplus = _gens_space_and_map(alg.r_plus, alg.R)
     BG, bg = _witness_space_and_map(
-        "BG", "bg", alg.gamma_witnesses, alg.gamma.space, N
+        "BG", "bg", alg.gamma_witnesses, alg.gamma.space
     )
-    BM, bm = _witness_space_and_map(
-        "BM", "bm", inp.m_witnesses, inp.m.space, N
-    )
+    BM, bm = _witness_space_and_map("BM", "bm", inp.m_witnesses, inp.m.space)
     spaces = {
         "R": alg.R.space, "G": alg.gamma.space, "M": inp.m.space,
         "RP": RP, "BG": BG, "BM": BM,
@@ -317,4 +318,4 @@ def cor22_to_doc(inp: Cor22Input) -> dict:
     }
     if alg.antipode is not None:
         maps["antipode"] = alg.antipode
-    return dump_doc(N, spaces, maps)
+    return dump_doc(spaces, maps)

@@ -269,26 +269,27 @@ def _push_left(l: tuple, w: tuple, c: tuple, log: _Counter) -> set:
     return out
 
 
+def _sorted_terms(terms) -> tuple[Term, ...]:
+    return tuple(sorted(terms, key=_term_key))
+
+
+def _right_normal_form(w: tuple) -> RewriteResult:
+    """Normal form of x * w with every coefficient on the right."""
+    log = _Counter()
+    pairs = _push_right(X, w, ONE, log)
+    return RewriteResult(_sorted_terms(Term(ONE, w2, r) for w2, r in pairs), log.n)
+
+
 def commute_right(n: int) -> RewriteResult:
     """Normal form of x * Sq^(2n) with every coefficient on the right."""
     if n < 1:
         raise ValueError("need n >= 1")
-    log = _Counter()
-    pairs = _push_right(X, word(2 * n), ONE, log)
-    terms = tuple(sorted(
-        (Term(ONE, w, r) for w, r in pairs), key=_term_key
-    ))
-    return RewriteResult(terms, log.n)
+    return _right_normal_form(word(2 * n))
 
 
 def commute_right_beta() -> RewriteResult:
     """The i = 1 Bockstein case: x beta = beta x + beta(x)."""
-    log = _Counter()
-    pairs = _push_right(X, ("b",), ONE, log)
-    terms = tuple(sorted(
-        (Term(ONE, w, r) for w, r in pairs), key=_term_key
-    ))
-    return RewriteResult(terms, log.n)
+    return _right_normal_form(("b",))
 
 
 def commute_left(n: int) -> RewriteResult:
@@ -303,13 +304,13 @@ def commute_left(n: int) -> RewriteResult:
     for a in range(0, n):
         b = n - 1 - a
         terms.append(Term(mono_mul(TAU, sq_of(2 * a + 1, X)), word(2 * b + 1), ONE))
-    return RewriteResult(tuple(sorted(terms, key=_term_key)), 1)
+    return RewriteResult(_sorted_terms(terms), 1)
 
 
 def commute_left_beta() -> RewriteResult:
     """beta x = x beta + beta(x)."""
     terms = (Term(X, ("b",), ONE), Term((("beta", X),), (), ONE))
-    return RewriteResult(tuple(sorted(terms, key=_term_key)), 1)
+    return RewriteResult(_sorted_terms(terms), 1)
 
 
 def roundtrip_check(n: int, res: RewriteResult | None = None) -> bool:

@@ -166,6 +166,29 @@ def test_divide_flags_a_non_cofree_numerator(capsys, tmp_path):
     assert json.loads(out) == {"ok": False, "degree": 2, "value": -2}
 
 
+@pytest.mark.parametrize("flag, doc", [
+    ("--numerator", {"series": [1, 2]}),
+    ("--numerator", [1]),
+    ("--numerator", {"series": {"0": None}}),
+    ("--numerator", {"series": {"0": 1.5}}),
+    ("--numerator", {"series": {"0": True}}),
+    ("--numerator", {"series": {"01": 1}}),
+    ("--dual-steenrod", {"generators": 3}),
+    ("--dual-steenrod", []),
+    ("--dual-steenrod", {"generators": [{"name": "a", "p": "1", "w": 0}]}),
+], ids=["series-list", "doc-list", "coeff-null", "coeff-float", "coeff-bool",
+        "degree-key-padded", "generators-scalar", "generators-doc-list",
+        "generator-p-string"])
+def test_malformed_series_and_generator_files_exit_two(flag, doc, capsys,
+                                                       tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["divide", flag, str(path)])
+    kind = "series" if flag == "--numerator" else "generator"
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad {kind} file") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # structure-file verbs
 
@@ -379,10 +402,13 @@ def _entry(key, value):
     lambda doc: doc["spaces"]["R"].update(degrees=[]),
     lambda doc: doc["spaces"]["R"]["degrees"].update(x=["z"]),
     lambda doc: doc["spaces"]["R"]["degrees"].update({"01": ["z"]}),
+    # A counit row in degree 1: k has no basis there.
+    lambda doc: doc["maps"].update(counit_G={
+        "source": "G", "target": "k", "entries": [{"deg": 1, "bits": [1, 0]}]}),
 ], ids=["deg-null", "deg-string", "deg-bool", "deg-outside", "bits-string",
         "bits-scalar", "trunc-string", "maps-list", "entries-object",
         "duplicate-degree", "no-source", "degrees-list", "degree-key",
-        "degree-key-padded"])
+        "degree-key-padded", "counit-degree-one"])
 def test_hostile_structure_documents_exit_two(edit, capsys, tmp_path):
     with open(fixture("right_unit_good.json")) as fh:
         doc = json.load(fh)
@@ -458,9 +484,16 @@ def _mutate(doc, draw):
         parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
 
 
+# Fixture, and the command line that reads it.
+_MUTATED = {
+    "lambda_t.json": ["validate", "--input"],
+    "right_unit_good.json": ["validate", "--input"],
+    "dual_steenrod.json": ["divide", "--dual-steenrod"],
+}
+
+
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(["lambda_t.json", "right_unit_good.json"]),
-       data=st.data())
+@given(name=st.sampled_from(sorted(_MUTATED)), data=st.data())
 def test_mutated_structure_documents_keep_the_exit_code_contract(name, data):
     with open(fixture(name)) as fh:
         doc = json.load(fh)
@@ -472,7 +505,7 @@ def test_mutated_structure_documents_keep_the_exit_code_contract(name, data):
             json.dump(doc, fh)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["validate", "--input", path])
+            code = cli.main(_MUTATED[name] + [path])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 
@@ -488,6 +521,30 @@ def test_config_file_merges_defaults(capsys, tmp_path):
     code, _, err = run(capsys, ["--config", str(cfg),
                                 "s-check", "--p", "2", "--w", "1"])
     assert code == 2 and "bad config file" in err
+
+    # A key that no flag reads is ignored.
+    cfg.write_text(json.dumps({"trunc": 3, "format": "json"}))
+    code, out, _ = run(capsys, ["--config", str(cfg),
+                                "s-check", "--p", "2", "--w", "1"])
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("doc", [
+    {"slope": 5},
+    {"format": 3},
+    {"format": "xml"},
+    {"coeffs": "complex"},
+    {"max_shift": "12"},
+    [1],
+], ids=["slope-number", "format-number", "format-unknown", "coeffs-unknown",
+        "max-shift-string", "doc-list"])
+def test_malformed_config_values_exit_two(doc, capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["--config", str(cfg),
+                                  "vanish", "--i", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad config file") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,6 @@ def test_whitehead_identity():
         ((1, 0), (0, 1)),
     )
     assert rep.at_one_product_identity
-    with pytest.raises(ValueError):
-        gw.whitehead_check("numeric")
 
 
 # ---------------------------------------------------------------------------

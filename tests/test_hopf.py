@@ -54,7 +54,7 @@ def hopf_with(H, **replacements):
             "comult": H.comult}
     maps.update(replacements)
     return HopfData(H.A, maps["unit"], maps["counit"], maps["mult"],
-                    maps["comult"], H.N)
+                    maps["comult"])
 
 
 def flipped(m: GradedMap, d: int, i: int, bit: int) -> GradedMap:
@@ -319,11 +319,11 @@ def test_mm_split_requires_connectedness():
 # base-ring pipeline
 
 def test_right_unit_fixture_pair():
-    good = right_unit_descends(*build.right_unit_fixture(True), 4)
+    good = right_unit_descends(*build.right_unit_fixture(True))
     assert good.ok and good.first_failure is None
     assert all(eq for _, _, _, eq in good.table)
 
-    bad = right_unit_descends(*build.right_unit_fixture(False), 4)
+    bad = right_unit_descends(*build.right_unit_fixture(False))
     assert not bad.ok and bad.first_failure == 2
     by_degree = {d: eq for d, _, _, eq in bad.table}
     assert by_degree[1] is True and by_degree[2] is False
@@ -434,7 +434,7 @@ def test_shipped_fixtures_regenerate_from_the_builders():
 
     for flag, name in [(True, "right_unit_good.json"),
                        (False, "right_unit_bad.json")]:
-        doc = io.right_unit_to_doc(*build.right_unit_fixture(flag, 4), 4)
+        doc = io.right_unit_to_doc(*build.right_unit_fixture(flag, 4))
         assert doc == fixture_doc(name)
 
 

@@ -52,11 +52,12 @@ def reference_mul(a, b):
 
 
 # Canonical monomials: nested Sq^j(-) and beta(-) atoms over x and tau, in
-# products sorted by rendering.
+# products sorted by rendering.  The indices reach the Sq^10..Sq^16 of the
+# n = 8 rewrite, where rendered order (Sq^10 < Sq^2) is not integer order.
 canonical_monos = strats.recursive(
     strats.sampled_from([st.ONE, st.X, st.TAU]),
     lambda inner: strats.one_of(
-        strats.builds(st.sq_of, strats.integers(0, 5), inner),
+        strats.builds(st.sq_of, strats.integers(0, 20), inner),
         strats.builds(st.beta_of, inner).filter(lambda m: m is not None),
         strats.builds(reference_mul, inner, inner),
     ),
