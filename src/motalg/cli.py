@@ -92,7 +92,7 @@ class RunConfig:
 
 def _check_slope(text: str) -> str:
     q = Fraction(text)
-    if not (0 < q < 1) or Fraction(text) != Fraction(q.numerator, q.denominator):
+    if not 0 < q < 1:
         raise ValueError(f"slope must satisfy 0 < q < 1, got {text}")
     return text
 

@@ -267,13 +267,22 @@ def validate_algebroid(alg: AlgebroidData) -> list[Violation]:
     quotient the ground field, freeness on the witnesses, counit laws and
     coassociativity in the free presentation, and the antipode conditions
     on the units when an antipode is supplied."""
+    return _validate_algebroid(alg)[0]
+
+
+def _validate_algebroid(
+    alg: AlgebroidData,
+) -> tuple[list[Violation], tuple[Witnesses, Witnesses] | None]:
+    """validate_algebroid's violations, with the left and right witness data
+    of Gamma that the checks built (None when a check failed before they
+    were built), so the cor22 pipeline builds them once."""
     N = alg.N
     out: list[Violation] = []
     R, G = alg.R, alg.gamma
 
     if R.space.dim(0) != 1 or R.unit_vec != 1:
         out.append(Violation("base_connected", 0, f"dim R_0 = {R.space.dim(0)}"))
-        return out
+        return out, None
     out += validate_algebra(R, commutative=True)
     out += validate_algebra(G, commutative=True)
     out += algebra_map_violations(alg.eta_l, R, G)
@@ -289,14 +298,14 @@ def validate_algebroid(alg: AlgebroidData) -> list[Violation]:
                 Violation("r_plus_quotient", d, "quotient exceeds the ground field")
             )
     if out:
-        return out
+        return out, None
 
     try:
         wl = alg.left_witnesses()
         wr = alg.right_witnesses()
     except FreenessFailed as e:
         out.append(Violation("gamma_free", e.degree, e.name))
-        return out
+        return out, None
 
     # counit splits both units.
     for d in range(0, N + 1):
@@ -331,7 +340,7 @@ def validate_algebroid(alg: AlgebroidData) -> list[Violation]:
                     out.append(
                         Violation("antipode_involutive", d, G.space.labels(d)[i])
                     )
-    return _dedup(out)
+    return _dedup(out), (wl, wr)
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +531,13 @@ def cor22_pipeline(inp: Cor22Input) -> Cor22Report:
     alg, M, G = inp.alg, inp.m, inp.alg.gamma
     hypotheses: list[str] = []
 
-    violations = validate_algebroid(alg)
+    # A Gamma that is not free on its witnesses fails here, as gamma_free;
+    # otherwise the witness data of Gamma comes back with the verdict.
+    violations, gamma_witnesses = _validate_algebroid(alg)
     if violations:
         raise HypothesisFailed("algebroid_axioms", str(violations[0]))
     hypotheses.append("algebroid_axioms")
+    wg, wg_right = gamma_witnesses
 
     ru = right_unit_descends(alg.R, alg.r_plus, G, alg.eta_l, alg.eta_r)
     if not ru.ok:
@@ -539,11 +551,6 @@ def cor22_pipeline(inp: Cor22Input) -> Cor22Report:
             raise HypothesisFailed("phi_surjective", f"degree {d}")
     hypotheses.append("phi_surjective")
 
-    try:
-        wg = alg.left_witnesses()
-        wg_right = alg.right_witnesses()
-    except FreenessFailed as e:
-        raise HypothesisFailed("freeness_gamma", f"degree {e.degree}")
     try:
         wm = inp.m_witness_data()
     except FreenessFailed as e:

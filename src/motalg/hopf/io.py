@@ -83,7 +83,10 @@ def load_doc(doc: dict) -> StructureFile:
             if d is None:
                 raise MalformedStructure(f"space {name}: degree key {dstr!r}")
             labels = expect_json(labels, list, f"space {name} labels")
-            degrees[d] = [str(x) for x in labels]
+            for x in labels:
+                if not isinstance(x, str):
+                    raise MalformedStructure(f"space {name}: non-string label {x!r}")
+            degrees[d] = labels
         spaces[name] = GradedSpace(name, degrees, N)
 
     def resolve(ref):

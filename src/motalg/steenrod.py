@@ -9,13 +9,17 @@ a product is flagged iff some factor is.  Words are sequences of beta and
 even squares; odd squares normalize as Sq^(2n+1) = beta Sq^(2n) and two
 adjacent betas annihilate the word.
 
-The central identity (char 2) is
+The central identity (char 2), the motivic Cartan formula with its tau-term,
+is, for any coefficient c,
 
-  x Sq^(2n) = sum_{a+b=n, a>0} Sq^(2a)(x) Sq^(2b)
-            + sum_{a+b=n-1} tau Sq^(2a+1)(x) Sq^(2b+1)
-            + Sq^(2n) x
+  c Sq^(2n) = Sq^(2n) c + sum_{a+b=n, a>0} Sq^(2a)(c) Sq^(2b)
+                        + sum_{a+b=n-1} tau Sq^(2a+1)(c) Sq^(2b+1)
 
-together with the Bockstein rule x beta = beta x + beta(x).
+together with the Bockstein rule c beta = beta c + beta(c).  _cartan_terms
+yields the two correction sums; _push_right reads the identity left to
+right and _push_left reads it right to left, so the right normal form
+(commute_right), the left normal form (commute_left) and the round trip
+between them all come from that one statement.
 """
 
 from __future__ import annotations
@@ -189,38 +193,39 @@ class _Counter:
         self.n = 0
 
 
-def _push_right(c: tuple, w: tuple, r: tuple, log: _Counter) -> set:
-    """All-right normal form of the product c * w * r, as a mod-2 set of
+def _cartan_terms(c: tuple, n: int):
+    """The correction terms of c Sq^(2n) = Sq^(2n) c + ..., as (coefficient,
+    word) pairs: (Sq^(2a)(c), Sq^(2b)) for a + b = n, a > 0, and
+    (tau Sq^(2a+1)(c), Sq^(2b+1)) for a + b = n - 1."""
+    for a in range(1, n + 1):
+        yield sq_of(2 * a, c), word(2 * (n - a))
+    for a in range(n):
+        yield mono_mul(TAU, sq_of(2 * a + 1, c)), word(2 * (n - a) - 1)
+
+
+def _push_right(c: tuple, w: tuple, log: _Counter) -> set:
+    """All-right normal form of the product c * w, as a mod-2 set of
     (word, right coefficient) pairs.  Terminates because each recursive
     call strictly decreases the degree of the word still to the right of
     the moving coefficient."""
     if c == ONE or not w:
-        return {(w, mono_mul(c, r))}
+        return {(w, c)}
     log.n += 1
     head, rest = w[0], w[1:]
     if head == "b":
         # c beta = beta c + beta(c)
         out = {
-            (("b",) + w2, r2) for w2, r2 in _push_right(c, rest, r, log)
+            (("b",) + w2, r2) for w2, r2 in _push_right(c, rest, log)
             if not (w2 and w2[0] == "b")
         }
         bc = beta_of(c)
         if bc is not None:
-            out ^= _push_right(bc, rest, r, log)
+            out ^= _push_right(bc, rest, log)
     else:
-        n = head[1] // 2
         out = set()
-        for a in range(1, n + 1):
-            b = n - a
-            mid = word(2 * b)
-            out ^= _push_right(sq_of(2 * a, c), mid + rest, r, log)
-        for a in range(0, n):
-            b = n - 1 - a
-            mid = word(2 * b + 1)
-            out ^= _push_right(
-                mono_mul(TAU, sq_of(2 * a + 1, c)), mid + rest, r, log
-            )
-        out ^= {((head,) + w2, r2) for w2, r2 in _push_right(c, rest, r, log)}
+        for c2, mid in _cartan_terms(c, head[1] // 2):
+            out ^= _push_right(c2, mid + rest, log)
+        out ^= {((head,) + w2, r2) for w2, r2 in _push_right(c, rest, log)}
     return out
 
 
@@ -252,19 +257,9 @@ def _push_left(l: tuple, w: tuple, c: tuple, log: _Counter) -> set:
         if bc is not None:
             out ^= _push_left(l, rest, bc, log)
     else:
-        n = last[1] // 2
         out = set()
-        for a in range(1, n + 1):
-            b = n - a
-            mid = word(2 * b)
-            out ^= _append_word(_push_left(l, rest, sq_of(2 * a, c), log), mid)
-        for a in range(0, n):
-            b = n - 1 - a
-            mid = word(2 * b + 1)
-            out ^= _append_word(
-                _push_left(l, rest, mono_mul(TAU, sq_of(2 * a + 1, c)), log),
-                mid,
-            )
+        for c2, mid in _cartan_terms(c, last[1] // 2):
+            out ^= _append_word(_push_left(l, rest, c2, log), mid)
         out ^= _append_word(_push_left(l, rest, c, log), (last,))
     return out
 
@@ -276,8 +271,15 @@ def _sorted_terms(terms) -> tuple[Term, ...]:
 def _right_normal_form(w: tuple) -> RewriteResult:
     """Normal form of x * w with every coefficient on the right."""
     log = _Counter()
-    pairs = _push_right(X, w, ONE, log)
+    pairs = _push_right(X, w, log)
     return RewriteResult(_sorted_terms(Term(ONE, w2, r) for w2, r in pairs), log.n)
+
+
+def _left_normal_form(w: tuple) -> RewriteResult:
+    """Normal form of w * x with every coefficient on the left."""
+    log = _Counter()
+    pairs = _push_left(ONE, w, X, log)
+    return RewriteResult(_sorted_terms(Term(l, w2, ONE) for l, w2 in pairs), log.n)
 
 
 def commute_right(n: int) -> RewriteResult:
@@ -297,20 +299,12 @@ def commute_left(n: int) -> RewriteResult:
     Sq^(2n) * x with every coefficient on the left."""
     if n < 1:
         raise ValueError("need n >= 1")
-    terms = [Term(X, word(2 * n), ONE)]
-    for a in range(1, n + 1):
-        b = n - a
-        terms.append(Term(sq_of(2 * a, X), word(2 * b), ONE))
-    for a in range(0, n):
-        b = n - 1 - a
-        terms.append(Term(mono_mul(TAU, sq_of(2 * a + 1, X)), word(2 * b + 1), ONE))
-    return RewriteResult(_sorted_terms(terms), 1)
+    return _left_normal_form(word(2 * n))
 
 
 def commute_left_beta() -> RewriteResult:
     """beta x = x beta + beta(x)."""
-    terms = (Term(X, ("b",), ONE), Term((("beta", X),), (), ONE))
-    return RewriteResult(_sorted_terms(terms), 1)
+    return _left_normal_form(("b",))
 
 
 def roundtrip_check(n: int, res: RewriteResult | None = None) -> bool:
@@ -415,27 +409,13 @@ class RPRing(NamedTuple):
 
 
 def _rp_relation_certificate(closed: bool) -> bool:
-    """Sq1 applied to u*u + tau*v + rho*u through the Leibniz rule on the
-    free monomials reduces to zero in the normal form."""
-    sq1_gen = {"u": {"v": 1}, "v": {}, "tau": ({} if closed else {"rho": 1}),
-               "rho": {}}
-    exp_index = {"u": 0, "v": 1, "tau": 2, "rho": 3}
-
-    def leibniz(factors: list[str]) -> set[tuple[int, int, int, int]]:
-        out: set = set()
-        for i, f in enumerate(factors):
-            for g in sq1_gen[f]:
-                raw = [0, 0, 0, 0]
-                for k, other in enumerate(factors):
-                    raw[exp_index[other if k != i else g]] += 1
-                out ^= {tuple(raw)}
-        return out
-
+    """Sq1 applied to the free monomials u*u + tau*v + rho*u of the relation
+    through _rp_sq1 reduces to zero in the normal form."""
+    relation = [(2, 0, 0, 0), (0, 1, 1, 0)] + ([] if closed else [(1, 0, 0, 1)])
     total: set[Mono] = set()
-    relation = [["u", "u"], ["tau", "v"]] + ([] if closed else [["rho", "u"]])
-    for term in relation:
-        for raw in leibniz(term):
-            total ^= _normalize_rp(raw, closed)
+    for m in relation:
+        for t in _rp_sq1(m, closed):
+            total ^= _normalize_rp(t, closed)
     return total == set()
 
 

@@ -405,10 +405,15 @@ def _entry(key, value):
     # A counit row in degree 1: k has no basis there.
     lambda doc: doc["maps"].update(counit_G={
         "source": "G", "target": "k", "entries": [{"deg": 1, "bits": [1, 0]}]}),
+    # Basis labels are JSON strings.
+    lambda doc: doc["spaces"]["G"]["degrees"].update({"1": [None, "g"]}),
+    lambda doc: doc["spaces"]["G"]["degrees"].update({"1": [{"a": 1}, "g"]}),
+    lambda doc: doc["spaces"]["R"]["degrees"].update({"1": [1]}),
 ], ids=["deg-null", "deg-string", "deg-bool", "deg-outside", "bits-string",
         "bits-scalar", "trunc-string", "maps-list", "entries-object",
         "duplicate-degree", "no-source", "degrees-list", "degree-key",
-        "degree-key-padded", "counit-degree-one"])
+        "degree-key-padded", "counit-degree-one", "label-null", "label-object",
+        "label-integer"])
 def test_hostile_structure_documents_exit_two(edit, capsys, tmp_path):
     with open(fixture("right_unit_good.json")) as fh:
         doc = json.load(fh)

@@ -26,6 +26,7 @@ from motalg.hopf import (
     NotSurjective,
     TensorSpace,
     Violation,
+    algebroid,
     build,
     cor22_pipeline,
     identity_map,
@@ -353,6 +354,20 @@ def test_cor22_pipeline_on_shipped_inputs(builder):
     assert rep.N == 10
     assert rep.right_unit.ok
     assert all(c.invertible for c in rep.certificate)
+
+
+def test_cor22_builds_each_witness_basis_once(monkeypatch):
+    # Gamma's left and right witness data and M's: three, each built once.
+    built = []
+    init = algebroid.Witnesses.__init__
+
+    def counting_init(self, name, *args):
+        built.append(name)
+        init(self, name, *args)
+
+    monkeypatch.setattr(algebroid.Witnesses, "__init__", counting_init)
+    cor22_pipeline(build.cor22_exterior(10))
+    assert sorted(built) == ["BG", "BG", "BM"]
 
 
 def test_cor22_rejects_a_dead_phi():

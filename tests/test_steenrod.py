@@ -8,7 +8,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as strats
+from hypothesis import given, settings, strategies as strats
 
 from motalg import steenrod as st
 
@@ -121,6 +121,31 @@ def test_pushing_coefficients_back_recovers_the_input(n):
     assert st.roundtrip_check(n, st.commute_right(n))
     if n > 1:
         assert not st.roundtrip_check(n, st.commute_right(n - 1))
+
+
+# A coefficient c and a word w of degree <= 8: c * w pushed right and every
+# (word, right coefficient) pair pushed back left is c * w again, since both
+# directions read the same Cartan-tau and Bockstein identities.
+coefficients = strats.sampled_from([
+    st.X, st.TAU, st.sq_of(2, st.X), st.beta_of(st.X),
+    st.mono_mul(st.TAU, st.sq_of(1, st.X)),
+])
+words = (
+    strats.lists(strats.integers(0, 8), max_size=4)
+    .filter(lambda squares: sum(squares) <= 8)
+    .map(lambda squares: st.word(*squares))
+    .filter(lambda w: w is not None)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficients, words)
+def test_pushing_right_then_left_recovers_any_product(c, w):
+    log = st._Counter()
+    back: set = set()
+    for w2, r in st._push_right(c, w, log):
+        back ^= st._push_left(st.ONE, w2, r, log)
+    assert back == {(c, w)}
 
 
 @pytest.fixture(scope="module")
