@@ -178,6 +178,16 @@ class TateSum:
         object.__setattr__(self, "cells", dict(sorted(acc.items())))
         object.__setattr__(self, "trunc", trunc)
 
+    @classmethod
+    def _trusted(cls, acc: dict[BiDegree, int], trunc: int) -> "TateSum":
+        """Wrap cells that are already BiDegree, of shift <= trunc, with
+        positive multiplicities; only the order of the cells is established
+        here."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "cells", dict(sorted(acc.items())))
+        object.__setattr__(self, "trunc", trunc)
+        return self
+
     def __setattr__(self, *_):
         raise AttributeError("TateSum is immutable")
 
@@ -250,7 +260,7 @@ class TateSum:
     def shift(self, d) -> "TateSum":
         """Translate every cell by d; the truncation moves along."""
         d = BiDegree(*d)
-        return TateSum(
+        return TateSum._trusted(
             {c + d: m for c, m in self.cells.items()}, self.trunc + d.p
         )
 

@@ -135,6 +135,25 @@ def _emit_product_sum_json(E) -> None:
     write(f'\n ],\n "trunc": {E.trunc}\n}}\n')
 
 
+def _emit_commute_json(n: int, side: str, res) -> None:
+    """Print _emit_json of the `steenrod commute` document byte for byte,
+    one term at a time."""
+    write = sys.stdout.write
+    enc = json.encoder.encode_basestring
+    head = (f'{{\n "assumption": {enc(res.assumption)},\n "n": {n},\n'
+            f' "rules": {res.rules},\n "side": {enc(side)},\n "terms": ')
+    if not res.terms:
+        write(head + "[]\n}\n")
+        return
+    write(head + "[\n")
+    sep = ""
+    for left, word, right in res.rendered():
+        write(f'{sep}  {{\n   "left": {enc(left)},\n   "right": {enc(right)},'
+              f'\n   "word": {enc(word)}\n  }}')
+        sep = ",\n"
+    write("\n ]\n}\n")
+
+
 def _json_file(path: str):
     with open(path) as fh:
         return json.load(fh)
@@ -458,11 +477,10 @@ def cmd_steenrod_commute(args) -> int:
     res = (steenrod.commute_right(args.n) if args.side == "right"
            else steenrod.commute_left(args.n))
     if args.format == "json":
-        _emit_json({"n": args.n, "side": args.side, "rules": res.rules,
-                    "assumption": res.assumption, "terms": res.to_records()})
+        _emit_commute_json(args.n, args.side, res)
     else:
-        for t in res.terms:
-            print(str(t))
+        for line in res.lines():
+            print(line)
         print(f"terms {len(res.terms)}  rule applications {res.rules}")
     return OK
 

@@ -58,7 +58,8 @@ def d2_cell(d, trunc: int) -> TateSum:
         cells.append(BiDegree(base + 2 * n, 2 * w + n))
         cells.append(BiDegree(base + 2 * n + 1, 2 * w + n + 1))
         n += 1
-    return TateSum(cells, trunc)
+    # The cells are distinct, so each has multiplicity 1.
+    return TateSum._trusted({c: 1 for c in cells if c.p <= trunc}, trunc)
 
 
 def _as_cell_multiset(xs) -> dict[BiDegree, int]:

@@ -37,21 +37,39 @@ FLAG_ASSUMPTION = (
 )
 
 
-def render_factor(f) -> str:
+def render_mono(m: tuple) -> str:
+    return "*".join(render_factor(f) for f in m) if m else "1"
+
+
+def render_factor(f, mono=render_mono) -> str:
+    """One factor as text; mono renders the monomial inside an operator."""
     kind = f[0]
     if kind == "x":
         return "x"
     if kind == "tau":
         return "tau"
     if kind == "Sq":
-        return f"Sq^{f[1]}({render_mono(f[2])})"
+        return f"Sq^{f[1]}({mono(f[2])})"
     if kind == "beta":
-        return f"beta({render_mono(f[1])})"
+        return f"beta({mono(f[1])})"
     raise ValueError(f"unknown factor {f!r}")
 
 
-def render_mono(m: tuple) -> str:
-    return "*".join(render_factor(f) for f in m) if m else "1"
+def _mono_renderer():
+    """A render_mono that renders each distinct factor, nested ones too,
+    once; the memo lives as long as the returned function."""
+    memo: dict = {}
+
+    def factor(f) -> str:
+        text = memo.get(f)
+        if text is None:
+            text = memo[f] = render_factor(f, mono)
+        return text
+
+    def mono(m: tuple) -> str:
+        return "*".join(map(factor, m)) if m else "1"
+
+    return mono
 
 
 # The first letter of each kind's rendering: "Sq^", "beta(", "tau", "x".
@@ -73,19 +91,38 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b, key=render_factor))
 
 
-def factor_flagged(f) -> bool:
+def mono_flagged(m: tuple) -> bool:
+    return any(factor_flagged(f) for f in m)
+
+
+def factor_flagged(f, mono=mono_flagged) -> bool:
+    """Whether a factor carries the flag; mono checks the monomial inside
+    an operator."""
     kind = f[0]
     if kind in ("x", "tau"):
         return True
     if kind == "Sq":
-        return mono_flagged(f[2])
+        return mono(f[2])
     if kind == "beta":
-        return mono_flagged(f[1])
+        return mono(f[1])
     raise ValueError(f"unknown factor {f!r}")
 
 
-def mono_flagged(m: tuple) -> bool:
-    return any(factor_flagged(f) for f in m)
+def _flag_checker():
+    """A mono_flagged that checks each distinct factor, nested ones too,
+    once; the memo lives as long as the returned function."""
+    memo: dict = {}
+
+    def factor(f) -> bool:
+        flag = memo.get(f)
+        if flag is None:
+            flag = memo[f] = factor_flagged(f, mono)
+        return flag
+
+    def mono(m: tuple) -> bool:
+        return any(map(factor, m))
+
+    return mono
 
 
 def sq_of(j: int, m: tuple) -> tuple:
@@ -141,24 +178,24 @@ def render_word(w: tuple) -> str:
     return " ".join("beta" if it == "b" else f"Sq^{it[1]}" for it in w)
 
 
+def _term_line(left: str, word: str, right: str) -> str:
+    """A rendered term as one line; a coefficient ONE (rendered "1") is
+    left out."""
+    parts = [] if left == "1" else [left]
+    parts.append(f"[{word}]")
+    if right != "1":
+        parts.append(right)
+    return " ".join(parts)
+
+
 class Term(NamedTuple):
     left: tuple
     word: tuple
     right: tuple
 
     def __str__(self):
-        parts = []
-        if self.left != ONE:
-            parts.append(render_mono(self.left))
-        parts.append(f"[{render_word(self.word)}]")
-        if self.right != ONE:
-            parts.append(render_mono(self.right))
-        return " ".join(parts)
-
-
-def _term_key(t: Term):
-    return (word_degree(t.word), render_word(t.word),
-            render_mono(t.right), render_mono(t.left))
+        return _term_line(render_mono(self.left), render_word(self.word),
+                          render_mono(self.right))
 
 
 class RewriteResult(NamedTuple):
@@ -167,23 +204,30 @@ class RewriteResult(NamedTuple):
     assumption: str = FLAG_ASSUMPTION
 
     def __str__(self):
-        return " + ".join(str(t) for t in self.terms) if self.terms else "0"
+        return " + ".join(self.lines()) if self.terms else "0"
 
     def right_coefficients_flagged(self) -> bool:
-        return all(t.left == ONE and mono_flagged(t.right) for t in self.terms)
+        flagged = _flag_checker()
+        return all(t.left == ONE and flagged(t.right) for t in self.terms)
 
     def left_coefficients_flagged(self) -> bool:
-        return all(t.right == ONE and mono_flagged(t.left) for t in self.terms)
+        flagged = _flag_checker()
+        return all(t.right == ONE and flagged(t.left) for t in self.terms)
+
+    def rendered(self):
+        """The (left, word, right) text of each term in order, rendering
+        each distinct factor once."""
+        mono = _mono_renderer()
+        for t in self.terms:
+            yield mono(t.left), render_word(t.word), mono(t.right)
+
+    def lines(self):
+        """str(t) for each term t in order."""
+        return (_term_line(*r) for r in self.rendered())
 
     def to_records(self) -> list[dict]:
-        return [
-            {
-                "left": render_mono(t.left),
-                "word": render_word(t.word),
-                "right": render_mono(t.right),
-            }
-            for t in self.terms
-        ]
+        return [{"left": left, "word": word, "right": right}
+                for left, word, right in self.rendered()]
 
 
 class _Counter:
@@ -198,9 +242,12 @@ def _cartan_terms(c: tuple, n: int):
     word) pairs: (Sq^(2a)(c), Sq^(2b)) for a + b = n, a > 0, and
     (tau Sq^(2a+1)(c), Sq^(2b+1)) for a + b = n - 1."""
     for a in range(1, n + 1):
-        yield sq_of(2 * a, c), word(2 * (n - a))
+        b = n - a
+        yield sq_of(2 * a, c), ((("s", 2 * b),) if b else ())
     for a in range(n):
-        yield mono_mul(TAU, sq_of(2 * a + 1, c)), word(2 * (n - a) - 1)
+        b = n - 1 - a
+        yield (mono_mul(TAU, sq_of(2 * a + 1, c)),
+               ("b", ("s", 2 * b)) if b else ("b",))
 
 
 def _push_right(c: tuple, w: tuple, log: _Counter) -> set:
@@ -265,7 +312,11 @@ def _push_left(l: tuple, w: tuple, c: tuple, log: _Counter) -> set:
 
 
 def _sorted_terms(terms) -> tuple[Term, ...]:
-    return tuple(sorted(terms, key=_term_key))
+    """Terms by word degree, then by the text of the word, the right and the
+    left coefficient."""
+    mono = _mono_renderer()
+    return tuple(sorted(terms, key=lambda t: (
+        word_degree(t.word), render_word(t.word), mono(t.right), mono(t.left))))
 
 
 def _right_normal_form(w: tuple) -> RewriteResult:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motalg import acceptance, cli
+from motalg import acceptance, cli, steenrod
 from motalg.hopf.io import comodule_from_file, load_file
 from motalg.bigraded import BiDegree
 from motalg.extpower import d2_cell
@@ -108,6 +108,40 @@ def test_streamed_container_json_equals_json_dumps(make, capsys):
     cli._emit_product_sum_json(E)
     assert capsys.readouterr().out == json.dumps(
         E.to_dict(), indent=1, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_streamed_commute_json_equals_json_dumps(n, side, capsys):
+    res = (steenrod.commute_right(n) if side == "right"
+           else steenrod.commute_left(n))
+    code, out, _ = run(capsys, ["steenrod", "commute", "--n", str(n),
+                                "--side", side, "--format", "json"])
+    assert code == 0
+    assert out == json.dumps(
+        {"n": n, "side": side, "rules": res.rules,
+         "assumption": res.assumption, "terms": res.to_records()},
+        indent=1, sort_keys=True, ensure_ascii=False) + "\n"
+
+    code, out, _ = run(capsys, ["steenrod", "commute", "--n", str(n),
+                                "--side", side])
+    assert code == 0
+    assert out.splitlines() == [str(t) for t in res.terms] + [
+        f"terms {len(res.terms)}  rule applications {res.rules}"]
+
+
+@pytest.mark.parametrize("res", [
+    steenrod.RewriteResult((), 0),
+    steenrod.RewriteResult(
+        (steenrod.Term(steenrod.ONE, ("b",), steenrod.X),), 1,
+        'a "quoted"\tnote \u2295 \\ end'),
+], ids=["no-terms", "escaped-assumption"])
+def test_streamed_commute_writer_edge_cases(res, capsys):
+    cli._emit_commute_json(3, "right", res)
+    assert capsys.readouterr().out == json.dumps(
+        {"n": 3, "side": "right", "rules": res.rules,
+         "assumption": res.assumption, "terms": res.to_records()},
+        indent=1, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def test_nsym_table(capsys):

@@ -62,6 +62,40 @@ def test_twist_expansion_is_translated_sphere_expansion():
     assert d2_cell(T, 12) == d2_cell(S0, 8).shift((4, 2))
 
 
+def d2_formula_cells(d, trunc):
+    """The cells of the docstring formula for D_2(d) as plain pairs, with
+    enough of the tail to pass shift trunc."""
+    p, w = d
+    base = p + 2 * w
+    cells = [(base - j, 2 * w) for j in range(2 * w - p + 1)]
+    cells.append((base + 1, 2 * w + 1))
+    for n in range(1, max(trunc - base, 0) // 2 + 2):
+        cells += [(base + 2 * n, 2 * w + n), (base + 2 * n + 1, 2 * w + n + 1)]
+    return cells
+
+
+@st.composite
+def in_range_cell(draw):
+    p = draw(st.integers(-2, 10))
+    return BiDegree(p, draw(st.integers(p // 2, p // 2 + 4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(in_range_cell(), st.integers(-6, 40),
+       st.tuples(st.integers(-4, 6), st.integers(-4, 6)))
+def test_d2_cell_equals_validated_construction(d, trunc, e):
+    # d2_cell and shift build their sums without revalidating the cells;
+    # the validating constructor on the same cells must agree, in order too.
+    cells = d2_formula_cells(d, trunc)
+    got, want = d2_cell(d, trunc), TateSum(cells, trunc)
+    assert got == want and list(got) == list(want)
+    assert all(type(c) is BiDegree for c in got.cells)
+    shifted = got.shift(e)
+    want = TateSum([(p + e[0], w + e[1]) for p, w in cells], trunc + e[0])
+    assert shifted == want and list(shifted) == list(want)
+    assert all(type(c) is BiDegree for c in shifted.cells)
+
+
 def test_out_of_formula_range():
     with pytest.raises(OutOfFormulaRange):
         d2_cell(BiDegree(2, 0), 12)

@@ -70,6 +70,29 @@ def test_mono_mul_sorts_factors_by_rendering(a, b):
     assert st.mono_mul(a, b) == reference_mul(a, b)
 
 
+# One memo of each kind for every drawn monomial, so that a key which goes
+# stale or collides between examples gives a wrong answer.
+shared_render = st._mono_renderer()
+shared_flagged = st._flag_checker()
+
+
+@given(canonical_monos)
+def test_memoized_rendering_equals_render_mono(m):
+    assert shared_render(m) == st.render_mono(m)
+
+
+@given(canonical_monos)
+def test_memoized_flag_check_equals_mono_flagged(m):
+    assert shared_flagged(m) == st.mono_flagged(m)
+
+
+def test_memoized_flag_check_sees_unflagged_monomials():
+    flagged = st._flag_checker()
+    for m in (st.ONE, st.sq_of(2, st.ONE), st.beta_of(st.sq_of(3, st.ONE))):
+        assert not flagged(m)
+    assert flagged(st.mono_mul(st.sq_of(2, st.ONE), st.beta_of(st.X)))
+
+
 # ---------------------------------------------------------------------------
 # commuting coefficients across operator words
 
@@ -168,6 +191,39 @@ def test_n8_rewrites_are_frozen(right8):
     assert records_digest(left8) == (
         "3824df36f222e7ae7207eac3eca5db06ada1c1db0fa91f67455233b34eea9559"
     )
+
+
+def test_flag_checks_reject_one_unflagged_coefficient():
+    # Flagged terms first: the check has to reach the last one.
+    unflagged = st.sq_of(2, st.ONE)
+    right = st.RewriteResult((
+        st.Term(st.ONE, (), st.X),
+        st.Term(st.ONE, ("b",), st.TAU),
+        st.Term(st.ONE, st.word(2), unflagged),
+    ), 0)
+    assert not right.right_coefficients_flagged()
+    left = st.RewriteResult((
+        st.Term(st.X, (), st.ONE),
+        st.Term(st.beta_of(st.X), ("b",), st.ONE),
+        st.Term(unflagged, st.word(2), st.ONE),
+    ), 0)
+    assert not left.left_coefficients_flagged()
+    # Each side's check also needs the other side's coefficients to be ONE.
+    assert not left.right_coefficients_flagged()
+    assert not right.left_coefficients_flagged()
+
+
+def test_rendered_forms_agree(right8):
+    records = right8.to_records()
+    assert records == [
+        {"left": st.render_mono(t.left), "word": st.render_word(t.word),
+         "right": st.render_mono(t.right)}
+        for t in right8.terms
+    ]
+    assert list(right8.lines()) == [str(t) for t in right8.terms]
+    res = st.commute_right(2)
+    assert str(res) == " + ".join(str(t) for t in res.terms)
+    assert str(st.RewriteResult((), 0)) == "0"
 
 
 def test_commute_rejects_nonpositive_index():
