@@ -385,7 +385,3 @@ def run_check(name: str) -> CheckResult:
             ok, detail = fn()
             return CheckResult(name, ok, detail, time.perf_counter() - t0, budget)
     raise KeyError(f"unknown check {name!r}")
-
-
-def run_all() -> list[CheckResult]:
-    return [run_check(name) for name, _, _ in CHECKS]

@@ -99,30 +99,6 @@ def star(g, d) -> int:
     return StarGrading.from_slope(g).star(d)
 
 
-def _raw_values(g) -> tuple[int, int]:
-    # A grading is determined by its values on (1,0) and (0,1).
-    if isinstance(g, StarGrading):
-        return (g.u, -g.v)
-    a, b = g
-    return (int(a), int(b))
-
-
-def grading_equivalent(g, g2) -> bool:
-    """Whether two gradings (or raw value pairs on (1,0),(0,1)) induce the
-    same oriented line, i.e. are positive rational multiples of each other."""
-    a1, b1 = _raw_values(g)
-    a2, b2 = _raw_values(g2)
-    if (a1, b1) == (0, 0) or (a2, b2) == (0, 0):
-        raise ValueError("zero homomorphism has no associated line")
-    if a1 * b2 != a2 * b1:
-        return False
-    # Same line; orientation must match (positive multiple, not negation).
-    for x1, x2 in ((a1, a2), (b1, b2)):
-        if x1 != 0 or x2 != 0:
-            return (x1 > 0) == (x2 > 0) and x1 != 0 and x2 != 0
-    raise AssertionError("unreachable for nonzero pairs")
-
-
 @dataclass(frozen=True)
 class CoefficientModel:
     """A pluggable bigraded dimension function for the coefficient ring.

@@ -137,12 +137,12 @@ def _emit_product_sum_json(E) -> None:
 
 def _emit_commute_json(n: int, side: str, res) -> None:
     """Print _emit_json of the `steenrod commute` document byte for byte,
-    one term at a time."""
+    one term at a time, in the order of res.rendered()."""
     write = sys.stdout.write
     enc = json.encoder.encode_basestring
     head = (f'{{\n "assumption": {enc(res.assumption)},\n "n": {n},\n'
             f' "rules": {res.rules},\n "side": {enc(side)},\n "terms": ')
-    if not res.terms:
+    if not res.term_set:
         write(head + "[]\n}\n")
         return
     write(head + "[\n")
@@ -481,7 +481,7 @@ def cmd_steenrod_commute(args) -> int:
     else:
         for line in res.lines():
             print(line)
-        print(f"terms {len(res.terms)}  rule applications {res.rules}")
+        print(f"terms {len(res.term_set)}  rule applications {res.rules}")
     return OK
 
 

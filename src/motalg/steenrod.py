@@ -20,6 +20,10 @@ yields the two correction sums; _push_right reads the identity left to
 right and _push_left reads it right to left, so the right normal form
 (commute_right), the left normal form (commute_left) and the round trip
 between them all come from that one statement.
+
+A normal form is the mod-2 set of terms the push returns; RewriteResult
+keeps it as that set.  The order of its terms matters only to output, so
+it is worked out the first time output asks for it, never by the checks.
 """
 
 from __future__ import annotations
@@ -198,28 +202,59 @@ class Term(NamedTuple):
                           render_mono(self.right))
 
 
-class RewriteResult(NamedTuple):
-    terms: tuple[Term, ...]
-    rules: int
-    assumption: str = FLAG_ASSUMPTION
+class RewriteResult:
+    """A normal form as the mod-2 set of its distinct terms, with the number
+    of rule applications that produced it.
+
+    The set is the answer: the flag checks and roundtrip_check iterate it
+    as it is.  Order is an output concern.  The first use of terms,
+    rendered(), lines(), to_records() or str() sorts the terms once, by
+    word degree and then by the text of the word, the right and the left
+    coefficient; the sort and the output share that one rendering, which
+    renders each distinct factor once.  Rendering is injective on canonical
+    monomials, so no two terms tie."""
+
+    def __init__(self, terms, rules: int, assumption: str = FLAG_ASSUMPTION):
+        self.term_set = frozenset(terms)
+        self.rules = rules
+        self.assumption = assumption
+        self._rows = None
+
+    def _sorted_rows(self) -> list:
+        """(word degree, word, right, left text, term) per term, sorted on
+        first use."""
+        if self._rows is None:
+            mono = _mono_renderer()
+            words: dict = {}
+            rows = []
+            for t in self.term_set:
+                w = words.get(t.word)
+                if w is None:
+                    w = words[t.word] = (word_degree(t.word), render_word(t.word))
+                rows.append((*w, mono(t.right), mono(t.left), t))
+            rows.sort()
+            self._rows = rows
+        return self._rows
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(row[4] for row in self._sorted_rows())
 
     def __str__(self):
-        return " + ".join(self.lines()) if self.terms else "0"
+        return " + ".join(self.lines()) if self.term_set else "0"
 
     def right_coefficients_flagged(self) -> bool:
         flagged = _flag_checker()
-        return all(t.left == ONE and flagged(t.right) for t in self.terms)
+        return all(t.left == ONE and flagged(t.right) for t in self.term_set)
 
     def left_coefficients_flagged(self) -> bool:
         flagged = _flag_checker()
-        return all(t.right == ONE and flagged(t.left) for t in self.terms)
+        return all(t.right == ONE and flagged(t.left) for t in self.term_set)
 
     def rendered(self):
-        """The (left, word, right) text of each term in order, rendering
-        each distinct factor once."""
-        mono = _mono_renderer()
-        for t in self.terms:
-            yield mono(t.left), render_word(t.word), mono(t.right)
+        """The (left, word, right) text of each term in order."""
+        return ((left, word, right)
+                for _, word, right, left, _ in self._sorted_rows())
 
     def lines(self):
         """str(t) for each term t in order."""
@@ -311,26 +346,18 @@ def _push_left(l: tuple, w: tuple, c: tuple, log: _Counter) -> set:
     return out
 
 
-def _sorted_terms(terms) -> tuple[Term, ...]:
-    """Terms by word degree, then by the text of the word, the right and the
-    left coefficient."""
-    mono = _mono_renderer()
-    return tuple(sorted(terms, key=lambda t: (
-        word_degree(t.word), render_word(t.word), mono(t.right), mono(t.left))))
-
-
 def _right_normal_form(w: tuple) -> RewriteResult:
     """Normal form of x * w with every coefficient on the right."""
     log = _Counter()
     pairs = _push_right(X, w, log)
-    return RewriteResult(_sorted_terms(Term(ONE, w2, r) for w2, r in pairs), log.n)
+    return RewriteResult((Term(ONE, w2, r) for w2, r in pairs), log.n)
 
 
 def _left_normal_form(w: tuple) -> RewriteResult:
     """Normal form of w * x with every coefficient on the left."""
     log = _Counter()
     pairs = _push_left(ONE, w, X, log)
-    return RewriteResult(_sorted_terms(Term(l, w2, ONE) for l, w2 in pairs), log.n)
+    return RewriteResult((Term(l, w2, ONE) for l, w2 in pairs), log.n)
 
 
 def commute_right(n: int) -> RewriteResult:
@@ -366,7 +393,7 @@ def roundtrip_check(n: int, res: RewriteResult | None = None) -> bool:
         res = commute_right(n)
     log = _Counter()
     acc: set = set()
-    for t in res.terms:
+    for t in res.term_set:
         acc ^= _push_left(t.left, t.word, t.right, log)
     return acc == {(X, word(2 * n))}
 

@@ -19,7 +19,6 @@ from motalg.bigraded import (
     BiDegree,
     StarGrading,
     TateSum,
-    grading_equivalent,
     has_vanishing_line,
     star,
 )
@@ -94,32 +93,6 @@ def test_star_is_additive(g, d, e):
 @given(slopes, bidegrees)
 def test_star_of_negation(g, d):
     assert g.star(-d) == -g.star(d)
-
-
-# ---------------------------------------------------------------------------
-# grading_equivalent
-
-@given(slopes, st.integers(1, 7))
-def test_grading_equivalent_under_scaling(g, k):
-    assert grading_equivalent(g, (k * g.u, -k * g.v))
-
-
-@given(slopes)
-def test_grading_not_equivalent_to_reversal(g):
-    assert not grading_equivalent(g, (-g.u, g.v))
-
-
-@given(slopes, slopes, slopes)
-def test_grading_equivalence_relation(a, b, c):
-    assert grading_equivalent(a, a)
-    assert grading_equivalent(a, b) == grading_equivalent(b, a)
-    if grading_equivalent(a, b) and grading_equivalent(b, c):
-        assert grading_equivalent(a, c)
-
-
-def test_grading_equivalent_rejects_zero():
-    with pytest.raises(ValueError):
-        grading_equivalent((0, 0), (1, -1))
 
 
 # ---------------------------------------------------------------------------

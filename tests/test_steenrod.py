@@ -10,7 +10,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as strats
 
-from motalg import steenrod as st
+from motalg import acceptance, cli, steenrod as st
 
 
 def records_digest(res):
@@ -169,6 +169,46 @@ def test_pushing_right_then_left_recovers_any_product(c, w):
     for w2, r in st._push_right(c, w, log):
         back ^= st._push_left(st.ONE, w2, r, log)
     assert back == {(c, w)}
+
+
+def rendered_order(t):
+    # The order terms are listed in: word degree, then the text of the
+    # word, the right and the left coefficient.
+    return (st.word_degree(t.word), st.render_word(t.word),
+            st.render_mono(t.right), st.render_mono(t.left))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strats.one_of(strats.just(("b",)), words),
+       strats.randoms(use_true_random=False))
+def test_normal_forms_list_their_term_sets_in_rendered_order(w, rnd):
+    for res in (st._right_normal_form(w), st._left_normal_form(w)):
+        assert list(res.terms) == sorted(res.term_set, key=rendered_order)
+        # The order comes from the terms alone, not from how they arrive.
+        shuffled = list(res.terms)
+        rnd.shuffle(shuffled)
+        again = st.RewriteResult(tuple(shuffled), res.rules)
+        assert again.terms == res.terms
+        assert again.to_records() == res.to_records()
+        assert str(again) == str(res)
+
+
+def test_checks_render_nothing_and_output_renders_each_factor_once(
+        monkeypatch, capsys):
+    rendered = []
+    render_factor = st.render_factor
+
+    def counted(f, *mono):
+        rendered.append(f)
+        return render_factor(f, *mono)
+
+    monkeypatch.setattr(st, "render_factor", counted)
+    assert acceptance.check_steenrod_rewriter()[0]
+    assert rendered == []
+    assert cli.main(["steenrod", "commute", "--n", "8", "--format", "json",
+                     "--side", "right"]) == 0
+    capsys.readouterr()
+    assert len(rendered) == len(set(rendered)) == 31166
 
 
 @pytest.fixture(scope="module")
