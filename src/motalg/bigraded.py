@@ -10,7 +10,6 @@ positivity of the cells.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -94,11 +93,6 @@ class StarGrading:
         return f"StarGrading({self.u}/{self.v})"
 
 
-def star(g, d) -> int:
-    """Evaluate the star functional of grading g on bidegree d."""
-    return StarGrading.from_slope(g).star(d)
-
-
 @dataclass(frozen=True)
 class CoefficientModel:
     """A pluggable bigraded dimension function for the coefficient ring.
@@ -171,10 +165,6 @@ class TateSum:
     def zero(cls, trunc: int) -> "TateSum":
         return cls({}, trunc)
 
-    @classmethod
-    def of(cls, *cells, trunc: int) -> "TateSum":
-        return cls(list(map(lambda c: BiDegree(*c), cells)), trunc)
-
     def __eq__(self, other):
         return (
             isinstance(other, TateSum)
@@ -240,14 +230,6 @@ class TateSum:
             {c + d: m for c, m in self.cells.items()}, self.trunc + d.p
         )
 
-    def retrunc(self, trunc: int) -> "TateSum":
-        """Tighten the truncation (drop cells above the new bound)."""
-        if trunc > self.trunc:
-            raise ValueError(
-                f"cannot extend truncation {self.trunc} to {trunc}"
-            )
-        return TateSum(self.cells, trunc)
-
     def series(self, g) -> dict[int, int]:
         """Star-degree histogram: total multiplicity per star value."""
         g = StarGrading.from_slope(g)
@@ -261,19 +243,6 @@ class TateSum:
         return [
             {"p": c.p, "w": c.w, "mult": m} for c, m in self.cells.items()
         ]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"trunc": self.trunc, "cells": self.to_records()},
-            separators=(", ", ": "),
-        )
-
-    @classmethod
-    def from_records(cls, data: Mapping) -> "TateSum":
-        cells = {
-            BiDegree(rec["p"], rec["w"]): rec["mult"] for rec in data["cells"]
-        }
-        return cls(cells, data["trunc"])
 
     def render(self) -> str:
         if not self.cells:

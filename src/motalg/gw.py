@@ -1,12 +1,14 @@
-"""Exact arithmetic in the integral group ring of square classes (the
-unit-class calculus), the n_epsilon identities, the symbolic elementary
-matrix factorization certificate, Lefschetz trace bookkeeping, and the
-equivalence of 2-torsion with 2_epsilon-torsion via integer lattice
-reduction.
+"""Exact arithmetic in integral group rings, with one element type for two
+groups: the square classes (the unit-class calculus and the n_epsilon
+identities) and the infinite cyclic group, whose group ring is the Laurent
+polynomials in a (the symbolic elementary matrix factorization
+certificate).  Also Lefschetz trace bookkeeping, and the equivalence of
+2-torsion with 2_epsilon-torsion via integer lattice reduction.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from . import lattice
@@ -64,35 +66,53 @@ class SquareClassGroup:
 DEFAULT_GROUP = SquareClassGroup()
 
 
+class CyclicGroup:
+    """The infinite cyclic group on the generator a, written by exponent:
+    the element e stands for a^e.  Its group ring is the Laurent
+    polynomials in a, listed from the highest power down."""
+
+    one = 0
+
+    def mul(self, x: int, y: int) -> int:
+        return x + y
+
+    def sort_key(self, x: int) -> int:
+        return -x
+
+    def render(self, x: int) -> str:
+        return "a" if x == 1 else f"a^{x}"
+
+
+LAURENT = CyclicGroup()
+
+
 class GWElement:
-    """Finitely supported integer combination of square classes."""
+    """Finitely supported integer combination of the elements of a group
+    (square classes, or powers of a); the keys are taken as given, in the
+    group's own canonical form."""
 
     __slots__ = ("group", "coeffs")
 
-    def __init__(self, group: SquareClassGroup = DEFAULT_GROUP, coeffs=None):
+    def __init__(self, group=DEFAULT_GROUP, coeffs=None):
         self.group = group
-        self.coeffs: dict[frozenset, int] = {}
-        if coeffs:
-            for cls, c in dict(coeffs).items():
-                if c:
-                    self.coeffs[frozenset(cls)] = c
+        self.coeffs = {key: c for key, c in (coeffs or {}).items() if c}
 
     def _check(self, other: "GWElement"):
         if self.group is not other.group:
-            raise ValueError("mixed square-class groups")
+            raise ValueError("mixed groups")
 
     def __add__(self, other):
         other = _coerce(other, self.group)
         self._check(other)
         out = dict(self.coeffs)
-        for cls, c in other.coeffs.items():
-            out[cls] = out.get(cls, 0) + c
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, 0) + c
         return GWElement(self.group, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GWElement(self.group, {c: -v for c, v in self.coeffs.items()})
+        return GWElement(self.group, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other, self.group))
@@ -103,7 +123,7 @@ class GWElement:
     def __mul__(self, other):
         other = _coerce(other, self.group)
         self._check(other)
-        out: dict[frozenset, int] = {}
+        out: dict = {}
         for c1, v1 in self.coeffs.items():
             for c2, v2 in other.coeffs.items():
                 key = self.group.mul(c1, c2)
@@ -128,6 +148,11 @@ class GWElement:
     def items(self):
         return sorted(self.coeffs.items(), key=lambda kv: self.group.sort_key(kv[0]))
 
+    def augmentation(self) -> int:
+        """The sum of the coefficients: the ring map sending every group
+        element to 1."""
+        return sum(self.coeffs.values())
+
     def to_vector(self, basis: list[frozenset]) -> list[int]:
         extra = set(self.coeffs) - set(basis)
         if extra:
@@ -138,11 +163,12 @@ class GWElement:
         if not self.coeffs:
             return "0"
         parts = []
-        for cls, c in self.items():
-            name = self.group.render(cls)
-            if not cls:
-                term = str(c)
-            elif c == 1:
+        for key, c in self.items():
+            if key == self.group.one:
+                parts.append(str(c))
+                continue
+            name = self.group.render(key)
+            if c == 1:
                 term = name
             elif c == -1:
                 term = f"-{name}"
@@ -160,7 +186,7 @@ class GWElement:
     __repr__ = __str__
 
 
-def _coerce(x, group: SquareClassGroup) -> GWElement:
+def _coerce(x, group) -> GWElement:
     if isinstance(x, GWElement):
         return x
     if isinstance(x, int):
@@ -194,144 +220,30 @@ def power_map_class(n: int, group: SquareClassGroup = DEFAULT_GROUP) -> GWElemen
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in one indeterminate and 2x2 matrices over them.
+# 2x2 matrices over the Laurent polynomials, as lists of rows.
 
-class LaurentPoly:
-    """Integer Laurent polynomial in one indeterminate a."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs: dict[int, int] = {}
-        if coeffs:
-            for e, c in dict(coeffs).items():
-                if c:
-                    self.coeffs[int(e)] = c
-
-    @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
-    def monomial(cls, e: int, c: int = 1) -> "LaurentPoly":
-        return cls({e: c})
-
-    def __add__(self, other):
-        other = _lp(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-_lp(other))
-
-    def __rsub__(self, other):
-        return _lp(other) - self
-
-    def __mul__(self, other):
-        other = _lp(other)
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = _lp(other)
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def at_one(self) -> int:
-        return sum(self.coeffs.values())
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                base = str(abs(c))
-            else:
-                var = "a" if e == 1 else f"a^{e}"
-                base = var if abs(c) == 1 else f"{abs(c)}{var}"
-            parts.append(("-" if c < 0 else "+", base))
-        sign, base = parts[0]
-        out = ("-" if sign == "-" else "") + base
-        for sign, base in parts[1:]:
-            out += f" {sign} {base}"
-        return out
-
-    __repr__ = __str__
+def monomial(e: int) -> GWElement:
+    """The Laurent monomial a^e."""
+    return GWElement(LAURENT, {e: 1})
 
 
-def _lp(x) -> LaurentPoly:
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, int):
-        return LaurentPoly.const(x)
-    raise TypeError(f"cannot coerce {x!r}")
+def _matrix(rows) -> list[list[GWElement]]:
+    return [[_coerce(x, LAURENT) for x in row] for row in rows]
 
 
-class LaurentMatrix2:
-    """2x2 matrix with LaurentPoly entries."""
+def _det(m: list[list[GWElement]]) -> GWElement:
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
-    __slots__ = ("rows",)
 
-    def __init__(self, rows):
-        self.rows = tuple(tuple(_lp(x) for x in r) for r in rows)
-        if len(self.rows) != 2 or any(len(r) != 2 for r in self.rows):
-            raise ValueError("need a 2x2 matrix")
-
-    @classmethod
-    def identity(cls) -> "LaurentMatrix2":
-        return cls([[1, 0], [0, 1]])
-
-    def __mul__(self, other: "LaurentMatrix2") -> "LaurentMatrix2":
-        a, b = self.rows, other.rows
-        return LaurentMatrix2(
-            [
-                [a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
-                for i in range(2)
-            ]
-        )
-
-    def det(self) -> LaurentPoly:
-        a = self.rows
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentMatrix2) and self.rows == other.rows
-
-    def at_one(self) -> list[list[int]]:
-        return [[x.at_one() for x in r] for r in self.rows]
-
-    def __str__(self):
-        return "[[{}, {}], [{}, {}]]".format(
-            self.rows[0][0], self.rows[0][1], self.rows[1][0], self.rows[1][1]
-        )
-
-    __repr__ = __str__
+def _at_one(m: list[list[GWElement]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(x.augmentation() for x in row) for row in m)
 
 
 class WhiteheadReport(NamedTuple):
-    factors: tuple[LaurentMatrix2, ...]
-    product: LaurentMatrix2
+    factors: tuple[list[list[GWElement]], ...]
+    product: list[list[GWElement]]
     ok: bool
-    determinants: tuple[LaurentPoly, ...]
+    determinants: tuple[GWElement, ...]
     determinants_ok: bool
     at_one_factors: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     at_one_product_identity: bool
@@ -356,32 +268,24 @@ def whitehead_check() -> WhiteheadReport:
     specialization of the product is the identity.  (The individual factors
     with entries 1/a and -1 stay unipotent at a = 1; only the product
     collapses.)"""
-    a = LaurentPoly.monomial(1)
-    a_inv = LaurentPoly.monomial(-1)
-    one = LaurentPoly.const(1)
+    a = monomial(1)
+    a_inv = monomial(-1)
     factors = (
-        LaurentMatrix2([[one, a_inv], [0, one]]),
-        LaurentMatrix2([[one, 0], [one - a, one]]),
-        LaurentMatrix2([[one, -1], [0, one]]),
-        LaurentMatrix2([[one, 0], [one - a_inv, one]]),
+        _matrix([[1, a_inv], [0, 1]]),
+        _matrix([[1, 0], [1 - a, 1]]),
+        _matrix([[1, -1], [0, 1]]),
+        _matrix([[1, 0], [1 - a_inv, 1]]),
     )
-    product = factors[0]
-    for f in factors[1:]:
-        product = product * f
-    target = LaurentMatrix2([[a_inv, 0], [0, a]])
-    dets = tuple(f.det() for f in factors) + (product.det(),)
-    eye = [[1, 0], [0, 1]]
-    at_one_factors = tuple(
-        tuple(tuple(row) for row in f.at_one()) for f in factors
-    )
+    product = reduce(lattice.mat_mul, factors)
+    dets = tuple(_det(f) for f in factors) + (_det(product),)
     return WhiteheadReport(
         factors,
         product,
-        product == target,
+        product == _matrix([[a_inv, 0], [0, a]]),
         dets,
-        all(d == one for d in dets),
-        at_one_factors,
-        product.at_one() == eye,
+        all(d == 1 for d in dets),
+        tuple(_at_one(f) for f in factors),
+        _at_one(product) == ((1, 0), (0, 1)),
     )
 
 

@@ -29,8 +29,9 @@ from .core import (
     TensorSpace,
     Violation,
     _bits,
+    _certified_iso,
+    _check_surjective,
     _dedup,
-    _left_apply,
     _pair_label,
     _pairs_of,
     _walk,
@@ -546,9 +547,10 @@ def cor22_pipeline(inp: Cor22Input) -> Cor22Report:
         )
     hypotheses.append("right_unit_descends")
 
-    for d in range(0, N + 1):
-        if gf2.rank(inp.phi.rows[d]) != G.space.dim(d):
-            raise HypothesisFailed("phi_surjective", f"degree {d}")
+    try:
+        _check_surjective(inp.phi, G.space, N)
+    except NotSurjective as e:
+        raise HypothesisFailed("phi_surjective", f"degree {e.degree}")
     hypotheses.append("phi_surjective")
 
     try:
@@ -597,28 +599,20 @@ def cor22_pipeline(inp: Cor22Input) -> Cor22Report:
 
     # Lift: theta(m) = sum alpha(bbar) (x) gamma over psi(m) = sum b (x) gamma.
     V = mm.V
-    VG = TensorSpace(V, G.space)
-    BMG = TensorSpace(wm.bar, G.space)
-    theta_rows: dict[int, list[int]] = {}
-    cert: list[DegreeCertificate] = []
-    for d in range(0, N + 1):
-        rows = [_left_apply(mm.alpha, BMG, VG, d, inp.psi.row(d, i))
-                for i in range(M.space.dim(d))]
-        theta_rows[d] = rows
-        ok = VG.dim(d) == M.space.dim(d) and gf2.is_invertible(
-            rows, M.space.dim(d)
+    try:
+        theta, cert = _certified_iso(
+            "theta_lift", mm.alpha, inp.psi, M.space,
+            TensorSpace(wm.bar, G.space), TensorSpace(V, G.space), N,
         )
-        cert.append(DegreeCertificate(d, M.space.dim(d), VG.dim(d), ok))
-        if not ok:
-            raise IsoFailed(d)
-    theta = GradedMap("theta_lift", M.space, VG, theta_rows)
+    except SplitFailed as e:
+        raise IsoFailed(e.degree)
 
     v_series = {d: V.dim(d) for d in V.degrees()}
     w_gens = tuple(
         (d, lab) for d in V.degrees() for lab in V.labels(d)
     )
     return Cor22Report(
-        v_series, w_gens, tuple(hypotheses), ru, mm, theta, tuple(cert),
+        v_series, w_gens, tuple(hypotheses), ru, mm, theta, cert,
     )
 
 

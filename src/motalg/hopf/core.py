@@ -636,9 +636,7 @@ def mm_split(Mc: ComoduleData, phi: GradedMap) -> MMSplit:
             f"dim A_0 = {A.dim(0)}"
         )
 
-    for d in range(0, N + 1):
-        if gf2.rank(phi.rows[d]) != A.dim(d):
-            raise NotSurjective(d)
+    _check_surjective(phi, A, N)
 
     # phi is an algebra map ...
     bad = algebra_map_violations(phi, Mc.algebra, H.algebra)
@@ -677,18 +675,35 @@ def mm_split(Mc: ComoduleData, phi: GradedMap) -> MMSplit:
         alpha_rows[d] = [U_inv[i] & mask for i in range(dim)]
     alpha = GradedMap("alpha", M, V, alpha_rows)
 
-    # theta = (alpha (x) id) psi.
-    VA = TensorSpace(V, A)
-    theta_rows: dict[int, list[int]] = {}
+    theta, cert = _certified_iso(
+        "theta", alpha, Mc.coaction, M, MA, TensorSpace(V, A), N
+    )
+    return MMSplit(V, alpha, theta, incl, cert)
+
+
+def _check_surjective(phi: GradedMap, target: GradedSpace, N: int) -> None:
+    """Raise NotSurjective at the first degree <= N where phi misses
+    target."""
+    for d in range(0, N + 1):
+        if gf2.rank(phi.rows[d]) != target.dim(d):
+            raise NotSurjective(d)
+
+
+def _certified_iso(
+    name: str, alpha: GradedMap, coaction: GradedMap, source: GradedSpace,
+    src: TensorSpace, dst: TensorSpace, N: int,
+) -> tuple[GradedMap, tuple[DegreeCertificate, ...]]:
+    """theta = (alpha (x) id) coaction: source -> dst, with one certificate
+    per degree <= N that it is invertible there; raises SplitFailed at the
+    first degree where it is not."""
+    rows: dict[int, list[int]] = {}
     cert = []
     for d in range(0, N + 1):
-        dim = M.dim(d)
-        rows = [_left_apply(alpha, MA, VA, d, Mc.coaction.row(d, i))
-                for i in range(dim)]
-        theta_rows[d] = rows
-        ok = VA.dim(d) == dim and gf2.is_invertible(rows, dim)
-        cert.append(DegreeCertificate(d, dim, VA.dim(d), ok))
+        dim = source.dim(d)
+        rows[d] = [_left_apply(alpha, src, dst, d, coaction.row(d, i))
+                   for i in range(dim)]
+        ok = dst.dim(d) == dim and gf2.is_invertible(rows[d], dim)
+        cert.append(DegreeCertificate(d, dim, dst.dim(d), ok))
         if not ok:
             raise SplitFailed(d)
-    theta = GradedMap("theta", M, VA, theta_rows)
-    return MMSplit(V, alpha, theta, incl, tuple(cert))
+    return GradedMap(name, source, dst, rows), tuple(cert)

@@ -1,7 +1,9 @@
 """Exact integer matrix utilities: Smith normal form with recorded
 transforms, determinants, and membership tests for row lattices.
 
-Matrices are lists of lists of Python ints; everything is exact.
+Matrices are lists of rows; everything is exact.  The entries are Python
+ints, except that mat_mul takes entries from any commutative ring with
++ and * that adds to the int 0 (the Laurent polynomials of gw, say).
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+def mat_mul(A: list[list], B: list[list]) -> list[list]:
+    """The product AB, for entries from any commutative ring whose
+    elements support + and *, and 0 + x."""
     if A and B and len(A[0]) != len(B):
         raise ValueError("shape mismatch")
     n = len(B[0]) if B else 0

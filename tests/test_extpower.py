@@ -55,7 +55,7 @@ def in_range_cells(max_abs_p=10, extra_w=5):
     ids=["sphere", "circle", "twist"],
 )
 def test_printed_expansions_up_to_shift_12(seed, expected):
-    assert d2_cell(seed, 12) == TateSum.of(*expected, trunc=12)
+    assert d2_cell(seed, 12) == TateSum(expected, 12)
 
 
 def test_twist_expansion_is_translated_sphere_expansion():
@@ -116,7 +116,7 @@ def test_d2_cell_multiplicities_are_all_one():
 
 def test_d2_cell_respects_truncation():
     full = d2_cell(S1, 30)
-    assert d2_cell(S1, 12) == full.retrunc(12)
+    assert d2_cell(S1, 12) == TateSum(full.cells, 12)
 
 
 # ---------------------------------------------------------------------------

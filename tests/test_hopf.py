@@ -24,10 +24,12 @@ from motalg.hopf import (
     InvalidStructure,
     NotConnected,
     NotSurjective,
+    SplitFailed,
     TensorSpace,
     Violation,
     algebroid,
     build,
+    core,
     cor22_pipeline,
     identity_map,
     io,
@@ -264,6 +266,25 @@ def test_planted_recovery_and_the_splitting_laws():
                 if da == 0 and (row >> k) & 1:
                     projected ^= 1 << iv
             assert projected == mm.alpha.row(d, i), (d, i)
+
+
+def test_the_certificate_rejects_a_singular_theta():
+    # mm_split's input checks reject every comodule whose theta would be
+    # singular, so the certifying step is driven directly: the planted
+    # splitting with alpha zeroed in degree 2 loses V_2 (x) A_0 there.
+    H = lambda_two(10)
+    C = build.square_zero_algebra("c", {2: 1, 3: 1}, 10)
+    Mc, phi = build.planted_comodule(C, H)
+    mm = mm_split(Mc, phi)
+    rest = (Mc.coaction, Mc.M, Mc.MA, TensorSpace(mm.V, H.A), Mc.N)
+    theta, cert = core._certified_iso("theta", mm.alpha, *rest)
+    assert theta.rows == mm.theta.rows and cert == mm.certificate
+
+    rows = {**mm.alpha.rows, 2: [0] * Mc.M.dim(2)}
+    alpha = GradedMap("alpha", Mc.M, mm.V, rows)
+    with pytest.raises(SplitFailed) as exc:
+        core._certified_iso("theta", alpha, *rest)
+    assert exc.value.degree == 2
 
 
 def test_not_surjective_reports_the_lowest_failing_degree():
